@@ -35,9 +35,8 @@ int main() {
   std::vector<double> adpmMeans;
   std::vector<teamsim::SweepPoint> points;
   for (const double gain : kGainSweep) {
-    scenarios::ReceiverConfig cfg;
-    cfg.gainMin = gain;
-    const dpm::ScenarioSpec spec = scenarios::receiverScenario(cfg);
+    dpm::ScenarioSpec spec = scenarios::receiverScenario();
+    spec.setRequirement("Gain-min", gain);
     const teamsim::SimulationOptions base;
     const teamsim::Comparison cmp =
         teamsim::compareApproaches(spec, base, kSeeds);

@@ -1,160 +1,20 @@
-// Throughput of the concurrent design-session service (google-benchmark).
-//
-// Each iteration mounts a fleet of sessions (TeamSim designers as clients)
-// on a fresh store and drives every session to completion; the counters
-// report aggregate operations/sec and sessions/sec as seen by runLoad's
-// steady clock.  The worker-count argument sweeps the executor pool
-// (1/2/4), so the scaling curve — ops/sec at 4 workers over ops/sec at 1 —
-// falls directly out of BENCH_service.json.  The deterministic arg (-1)
-// measures the zero-thread inline mode as the serial baseline.  Note that
-// the machine must actually have >1 hardware thread for the upper points
-// to scale; on a single-core container the curve is flat by construction.
+// Recovery cost of the design-session service (google-benchmark): the WAL
+// recovery chain shapes.  Closed-loop session throughput and latency are
+// measured by the benchmark of record, adpm_bench (bench/e2e), which reports
+// percentiles and a per-layer breakdown.
 #include <benchmark/benchmark.h>
 
-#include <chrono>
 #include <filesystem>
 #include <memory>
 #include <string>
 
 #include "dddl/writer.hpp"
-#include "gen/generator.hpp"
-#include "gen/presets.hpp"
-#include "net/server.hpp"
-#include "net/wire_load.hpp"
 #include "scenarios/sensing.hpp"
-#include "service/load.hpp"
 #include "service/store.hpp"
 
 using namespace adpm;
 
 namespace {
-
-constexpr std::size_t kSessions = 8;
-
-void BM_ServiceFleet(benchmark::State& state) {
-  const dpm::ScenarioSpec spec = scenarios::sensingSystemScenario();
-  const int workers = static_cast<int>(state.range(0));
-
-  std::size_t operations = 0;
-  std::size_t sessions = 0;
-  double wall = 0.0;
-  for (auto _ : state) {
-    service::SessionStore::Options options;
-    if (workers < 0) {
-      options.executor.deterministic = true;
-    } else {
-      options.executor.threads = static_cast<unsigned>(workers);
-    }
-    service::SessionStore store{std::move(options)};
-
-    service::LoadOptions load;
-    load.sessions = kSessions;
-    load.sim.adpm = true;
-    load.sim.seed = 1;
-    const service::LoadReport report = runLoad(store, spec, load);
-    benchmark::DoNotOptimize(report.operations);
-    operations += report.operations;
-    sessions += report.completedSessions;
-    wall += report.wallSeconds;
-  }
-  if (wall > 0.0) {
-    state.counters["ops_per_sec"] =
-        benchmark::Counter(static_cast<double>(operations) / wall);
-    state.counters["sessions_per_sec"] =
-        benchmark::Counter(static_cast<double>(sessions) / wall);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(operations));
-}
-BENCHMARK(BM_ServiceFleet)
-    ->Arg(-1)  // deterministic inline baseline
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->ArgNames({"workers"})
-    ->Unit(benchmark::kMillisecond)
-    ->MeasureProcessCPUTime()
-    ->UseRealTime();
-
-void BM_ServiceFleetJournaled(benchmark::State& state) {
-  // Same fleet with the write-ahead log on: the price of durability.
-  const dpm::ScenarioSpec spec = scenarios::sensingSystemScenario();
-  const std::string walDir =
-      (std::filesystem::temp_directory_path() / "adpm_bench_wal").string();
-  std::size_t operations = 0;
-  double wall = 0.0;
-  for (auto _ : state) {
-    std::filesystem::remove_all(walDir);
-    service::SessionStore::Options options;
-    options.executor.threads = static_cast<unsigned>(state.range(0));
-    options.walDir = walDir;
-    service::SessionStore store{std::move(options)};
-
-    service::LoadOptions load;
-    load.sessions = kSessions;
-    load.sim.adpm = true;
-    load.sim.seed = 1;
-    const service::LoadReport report = runLoad(store, spec, load);
-    operations += report.operations;
-    wall += report.wallSeconds;
-  }
-  std::filesystem::remove_all(walDir);
-  if (wall > 0.0) {
-    state.counters["ops_per_sec"] =
-        benchmark::Counter(static_cast<double>(operations) / wall);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(operations));
-}
-BENCHMARK(BM_ServiceFleetJournaled)
-    ->Arg(4)
-    ->ArgNames({"workers"})
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
-
-// Size sweep: the same fleet on generated zoo scenarios of increasing
-// constraint count (the `constraints` counter is the x-axis).  Per-session
-// operations are capped tightly: on the larger networks each operation costs
-// milliseconds of propagation, so the cap keeps an iteration bounded while
-// still measuring the per-operation service cost at that size (ops_per_sec
-// is a rate, not a completion count — zoo-toy finishes, the rest won't).
-void BM_ServiceFleetGenerated(benchmark::State& state) {
-  static constexpr const char* kPresets[] = {"zoo-toy", "zoo-small",
-                                             "zoo-medium"};
-  const dpm::ScenarioSpec spec =
-      gen::generate(
-          gen::zooPreset(kPresets[static_cast<std::size_t>(state.range(0))]))
-          .spec;
-
-  std::size_t operations = 0;
-  double wall = 0.0;
-  for (auto _ : state) {
-    service::SessionStore::Options options;
-    options.executor.threads = 4;
-    service::SessionStore store{std::move(options)};
-
-    service::LoadOptions load;
-    load.sessions = 4;
-    load.sim.adpm = true;
-    load.sim.seed = 1;
-    load.maxOperationsPerSession = 100;
-    const service::LoadReport report = runLoad(store, spec, load);
-    benchmark::DoNotOptimize(report.operations);
-    operations += report.operations;
-    wall += report.wallSeconds;
-  }
-  state.counters["constraints"] =
-      benchmark::Counter(static_cast<double>(spec.constraints.size()));
-  if (wall > 0.0) {
-    state.counters["ops_per_sec"] =
-        benchmark::Counter(static_cast<double>(operations) / wall);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(operations));
-}
-BENCHMARK(BM_ServiceFleetGenerated)
-    ->DenseRange(0, 2)
-    ->ArgNames({"zoo"})
-    ->Unit(benchmark::kMillisecond)
-    ->MeasureProcessCPUTime()
-    ->UseRealTime();
 
 // Recovery cost: O(work since the last checkpoint), not O(session
 // lifetime).  A session of `ops` operations is recorded once per arg pair
@@ -240,62 +100,6 @@ BENCHMARK(BM_Recovery)
     ->Args({64, 48})
     ->Args({640, 48})
     ->ArgNames({"ops", "ckpt_every"})
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
-
-void BM_ServiceWire(benchmark::State& state) {
-  // Clients over the wire: the same fleet, but every designer drives its
-  // session through a TCP connection against a net::Server (one connection
-  // + shadow manager per session, loopback).  ops_per_sec is the end-to-end
-  // wire throughput; apply_rtt_us the mean Apply request/response round
-  // trip; bus_downgrades counts subscription streams the NotificationBus
-  // collapsed into ResyncRequired under write backpressure.
-  const std::string dddlText = dddl::write(scenarios::sensingSystemScenario());
-  const std::size_t clients = static_cast<std::size_t>(state.range(0));
-
-  std::size_t operations = 0;
-  std::size_t downgrades = 0;
-  double wall = 0.0;
-  double rttWeighted = 0.0;
-  for (auto _ : state) {
-    service::SessionStore::Options options;
-    options.executor.threads = 4;
-    service::SessionStore store{std::move(options)};
-    net::Server server(store, net::Server::Options{});
-    const std::uint16_t port = server.start();
-
-    net::WireLoadOptions load;
-    load.port = port;
-    load.sessions = clients;
-    load.dddl = dddlText;
-    load.sim.adpm = true;
-    load.sim.seed = 1;
-    const net::WireLoadReport report = runWireLoad(load);
-    benchmark::DoNotOptimize(report.operations);
-    operations += report.operations;
-    wall += report.wallSeconds;
-    rttWeighted +=
-        report.applyRttMeanMicros * static_cast<double>(report.operations);
-    downgrades += store.bus().downgrades();
-    server.shutdown(std::chrono::seconds(5));
-  }
-  if (wall > 0.0) {
-    state.counters["ops_per_sec"] =
-        benchmark::Counter(static_cast<double>(operations) / wall);
-  }
-  if (operations > 0) {
-    state.counters["apply_rtt_us"] =
-        benchmark::Counter(rttWeighted / static_cast<double>(operations));
-  }
-  state.counters["bus_downgrades"] =
-      benchmark::Counter(static_cast<double>(downgrades));
-  state.SetItemsProcessed(static_cast<std::int64_t>(operations));
-}
-BENCHMARK(BM_ServiceWire)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->ArgNames({"clients"})
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 

@@ -11,6 +11,10 @@
 //   $ ./dddl_tool gen scenarios/zoo/zoo-toy.json  # paramfile -> DDDL
 //   $ ./dddl_tool gen zoo-toy --seed 7            # preset name works too
 //   $ ./dddl_tool propagate zoo-toy               # initial-state propagation
+//
+// Exit status: 0 success, 1 the command failed (parse error, round-trip
+// mismatch, violated propagation), 2 command-line misuse (unknown command,
+// scenario or preset).
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -53,15 +57,22 @@ bool readFile(const std::string& path, std::string& out) {
   return true;
 }
 
+/// A name that is neither a readable file nor registered: command-line
+/// misuse, so main exits 2 (1 means the command itself failed).
+class UnknownNameError : public InvalidArgumentError {
+ public:
+  using InvalidArgumentError::InvalidArgumentError;
+};
+
 /// Resolves `arg` to a spec: an on-disk DDDL file wins, then the registry.
 dpm::ScenarioSpec resolveSpec(const std::string& arg) {
   std::string text;
   if (readFile(arg, text)) return dddl::parse(text);
   if (gen::isRegisteredScenario(arg)) return gen::scenarioByName(arg);
-  throw InvalidArgumentError("'" + arg +
-                             "' is neither a readable file nor a registered "
-                             "scenario (expected " +
-                             gen::registeredScenarioNames() + ")");
+  throw UnknownNameError("'" + arg +
+                         "' is neither a readable file nor a registered "
+                         "scenario (expected " +
+                         gen::registeredScenarioNames() + ")");
 }
 
 int cmdList() {
@@ -115,7 +126,11 @@ int cmdGen(int argc, char** argv) {
       throw InvalidArgumentError(source + ": " + e.what());
     }
   } else {
-    params = gen::zooPreset(source);
+    try {
+      params = gen::zooPreset(source);
+    } catch (const InvalidArgumentError& e) {
+      throw UnknownNameError(e.what());
+    }
   }
   const gen::GeneratedScenario result =
       haveSeed ? gen::generate(params, seed) : gen::generate(params);
@@ -164,6 +179,11 @@ int main(int argc, char** argv) {
     if (argc < 3) return usage();
 
     if (command == "dump") {
+      if (!gen::isRegisteredScenario(argv[2])) {
+        throw UnknownNameError("unknown scenario '" + std::string(argv[2]) +
+                               "' (expected " +
+                               gen::registeredScenarioNames() + ")");
+      }
       std::printf("%s", dddl::write(gen::scenarioByName(argv[2])).c_str());
       return 0;
     }
@@ -186,6 +206,9 @@ int main(int argc, char** argv) {
       return same ? 0 : 1;
     }
     if (command == "propagate") return cmdPropagate(argv[2]);
+  } catch (const UnknownNameError& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
   } catch (const adpm::Error& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;

@@ -6,6 +6,10 @@
 //   $ ./teamsim_cli --scenario zoo-small --conventional --seeds 30
 //   $ ./teamsim_cli --file myscenario.dddl --adpm
 //   $ ./teamsim_cli --gen scenarios/zoo/zoo-toy.json --gen-seed 7 --adpm
+//
+// Exit status: 0 the run completed (or the sweep ran), 1 the run did not
+// complete or an input could not be read, 2 command-line misuse (unknown
+// option or scenario, --gen-seed without --gen).
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -114,6 +118,16 @@ int main(int argc, char** argv) {
     } else {
       return usage();
     }
+  }
+  if (haveGenSeed && genFile.empty()) {
+    std::fprintf(stderr, "--gen-seed needs --gen\n");
+    return usage();
+  }
+  if (genFile.empty() && file.empty() &&
+      !gen::isRegisteredScenario(scenarioName)) {
+    std::fprintf(stderr, "unknown scenario '%s' (expected %s)\n",
+                 scenarioName.c_str(), gen::registeredScenarioNames().c_str());
+    return 2;
   }
 
   try {

@@ -12,17 +12,14 @@
 #   * mode:2 — the fast engine over an unchanged box (generation-keyed cache
 #     hit, the what-if reporting steady state);
 #   * BM_PropagationFixpoint / BM_Hc4Revise — the zero-allocation hot path;
-#   * BM_ServiceFleet workers:1/2/4 — ops_per_sec and sessions_per_sec of
-#     the concurrent session service; the 4-vs-1 worker ratio is the scaling
-#     claim (needs >1 hardware thread to mean anything);
-#   * BM_ServiceFleetJournaled — the same fleet with the write-ahead log on;
 #   * BM_Recovery ops:64/640 x ckpt_every:0/48 — crash-recovery wall time
 #     and ops_replayed/segments_replayed; with checkpointing on the 640-op
 #     point must stay flat relative to the 64-op one (bounded recovery),
-#     without it the cost is linear in the log length;
-#   * BM_ServiceWire clients:1/2/4 — the fleet driven over TCP (one
-#     connection + shadow per session): end-to-end ops_per_sec, mean Apply
-#     RTT, and NotificationBus downgrades under write backpressure.
+#     without it the cost is linear in the log length.
+#
+# Closed-loop session throughput, latency percentiles and the per-layer
+# breakdown are not measured here: the benchmark of record is adpm_bench
+# (python3 bench/e2e/run.py, see BENCHMARK.json).
 #
 # Numbers from a Debug, sanitizer, or fault-injection build are
 # meaningless; the script refuses those configurations unless

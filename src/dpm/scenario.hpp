@@ -6,11 +6,12 @@
 // designers, an assignment of subproblems to designers, and initial values
 // for top-level requirements." (paper, Section 3.1.2)
 //
-// A ScenarioSpec is a plain-data description: it can be built directly in
-// C++ (src/scenarios) or parsed from DDDL text (src/dddl).  Indices within
-// the spec are positional; instantiation into an empty DesignProcessManager
-// maps property index i to PropertyId{i}, constraint index j to
-// ConstraintId{j}, and problem index k to ProblemId{k}.
+// A ScenarioSpec is a plain-data description: it is parsed from DDDL text
+// (src/dddl; the paper cases are scenarios/*.dddl) or built in C++ by the
+// scenario generator (src/gen).  Indices within the spec are positional;
+// instantiation into an empty DesignProcessManager maps property index i to
+// PropertyId{i}, constraint index j to ConstraintId{j}, and problem index k
+// to ProblemId{k}.
 #pragma once
 
 #include <optional>
@@ -87,6 +88,9 @@ struct ScenarioSpec {
   std::size_t addConstraint(Cons c);
   std::size_t addProblem(Prob p);
   void require(std::size_t property, double value);
+  /// Overwrites the value of the named property's existing requirement;
+  /// throws InvalidArgumentError if the property has none.
+  void setRequirement(std::string_view propName, double value);
 
   /// Expression variable for property index i (named after the property).
   expr::Expr pvar(std::size_t i) const;

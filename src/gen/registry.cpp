@@ -13,11 +13,14 @@ namespace adpm::gen {
 const std::vector<RegistryEntry>& scenarioRegistry() {
   static const std::vector<RegistryEntry> entries = [] {
     std::vector<RegistryEntry> out = {
-        {"sensing", "builtin", "sensing-system walkthrough case (paper §4.1)"},
-        {"receiver", "builtin", "MEMS receiver case, 2 designers"},
+        {"sensing", "builtin",
+         "MEMS pressure-sensing case (paper §3.2 case 1)"},
+        {"receiver", "builtin",
+         "MEMS receiver case (paper §3.2 case 2), 3 designers"},
         {"receiver4", "builtin", "MEMS receiver case, 4-designer team"},
-        {"accelerometer", "builtin", "MEMS accelerometer case"},
-        {"walkthrough", "builtin", "minimal two-property walkthrough"},
+        {"accelerometer", "builtin", "MEMS accelerometer case (extension)"},
+        {"walkthrough", "builtin",
+         "receiver walkthrough, 11 properties (paper §2.4, Figs. 2-4)"},
     };
     for (const ZooPreset& preset : zooPresets()) {
       out.push_back({preset.name, "generated", preset.description});

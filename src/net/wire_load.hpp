@@ -21,8 +21,7 @@
 // they are.
 //
 // Used by the `--connect` mode of the session-service CLI (one process per
-// driver for the multi-process loopback workload) and by bench_service's
-// clients-over-the-wire series.
+// driver for the multi-process loopback workload).
 #pragma once
 
 #include <cstddef>

@@ -16,21 +16,9 @@
 
 namespace adpm::scenarios {
 
-struct AccelerometerConfig {
-  /// Minimum system sensitivity (mV/g).
-  double sensMin = 3.0;
-  /// Total noise ceiling (ug/sqrt(Hz)).
-  double noiseMax = 15.0;
-  /// Minimum usable bandwidth (kHz).
-  double bwMin = 1.0;
-  /// Power budget (mW).
-  double powerMax = 10.0;
-  /// Minimum full-scale range (g).
-  double rangeMin = 10.0;
-};
-
-/// Builds the accelerometer scenario: 20 properties, 14 constraints,
-/// 3 designers (team-leader, mems-engineer, asic-designer).
-dpm::ScenarioSpec accelerometerScenario(const AccelerometerConfig& config = {});
+/// The accelerometer scenario, parsed from scenarios/accelerometer.dddl:
+/// 20 properties, 14 constraints, 3 designers (team-leader, mems-engineer,
+/// asic-designer).
+dpm::ScenarioSpec accelerometerScenario();
 
 }  // namespace adpm::scenarios

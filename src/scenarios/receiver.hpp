@@ -20,33 +20,19 @@
 
 namespace adpm::scenarios {
 
-struct ReceiverConfig {
-  /// Minimum end-to-end gain (dB); Fig. 10 sweeps this tightness.
-  double gainMin = 27.0;
-  /// Total power budget (mW).
-  double powerMax = 16.0;
-  /// Maximum LNA input impedance for matching (Ω); the walkthrough's leader
-  /// tightens this mid-process.
-  double zinMax = 65.0;
-  /// Channel bandwidth window (kHz).
-  double bwMin = 150.0;
-  double bwMax = 240.0;
-  /// Channel-selection target frequency (MHz) and allowed deviation.
-  double fTarget = 120.0;
-  /// Frequency-precision requirement (kHz).
-  double dfMax = 135.0;
-};
+/// The receiver scenario, parsed from scenarios/receiver.dddl:
+/// 35 properties, 30 constraints, 3 designers (team-leader,
+/// circuit-designer, device-engineer).  Fig. 10 sweeps the tightness of its
+/// "Gain-min" requirement (ScenarioSpec::setRequirement).
+dpm::ScenarioSpec receiverScenario();
 
-/// Builds the receiver scenario: 35 properties, 30 constraints, 3 designers
-/// (team-leader, circuit-designer, device-engineer).
-dpm::ScenarioSpec receiverScenario(const ReceiverConfig& config = {});
-
-/// The same receiver with a larger team, as the paper envisions ("although
-/// ADPM is envisioned for use by larger teams, this example is large enough
-/// ..."): the analog side splits into an LNA designer and a mixer/
-/// deserializer designer, giving 4 designers, 4 objects and 4 problems.
+/// The same receiver with a larger team (scenarios/receiver4.dddl), as the
+/// paper envisions ("although ADPM is envisioned for use by larger teams,
+/// this example is large enough ..."): the analog side splits into an LNA
+/// designer and a mixer/deserializer designer, giving 4 designers,
+/// 4 objects and 4 problems.
 /// The LNA-vs-mixer couplings (shared gain and power budgets) become
 /// cross-subsystem, so late conflicts multiply in the conventional flow.
-dpm::ScenarioSpec receiverLargeTeamScenario(const ReceiverConfig& config = {});
+dpm::ScenarioSpec receiverLargeTeamScenario();
 
 }  // namespace adpm::scenarios

@@ -20,19 +20,9 @@
 
 namespace adpm::scenarios {
 
-struct SensingConfig {
-  /// Required sensing resolution (kPa, smaller = tighter).
-  double resolutionMax = 0.10;
-  /// Required measurable pressure range (kPa, larger = tighter).
-  double rangeMin = 180.0;
-  /// Required estimated yield (%).
-  double yieldMin = 80.0;
-  /// Total power budget (mW).
-  double powerMax = 28.0;
-};
-
-/// Builds the sensing-system scenario: 26 properties, 21 constraints,
-/// 3 designers (team-leader, device-engineer, circuit-designer).
-dpm::ScenarioSpec sensingSystemScenario(const SensingConfig& config = {});
+/// The sensing-system scenario, parsed from scenarios/sensing.dddl:
+/// 26 properties, 21 constraints, 3 designers (team-leader,
+/// device-engineer, circuit-designer).
+dpm::ScenarioSpec sensingSystemScenario();
 
 }  // namespace adpm::scenarios

@@ -19,8 +19,9 @@
 
 namespace adpm::scenarios {
 
-/// Builds the walkthrough scenario (3 designers: team-leader,
-/// circuit-designer, device-engineer).
+/// The walkthrough scenario, parsed from scenarios/walkthrough.dddl:
+/// 11 properties, 3 designers (team-leader, circuit-designer,
+/// device-engineer).
 dpm::ScenarioSpec walkthroughScenario();
 
 /// Property indices within the walkthrough spec, for scripted drivers.

@@ -71,11 +71,10 @@ TEST(Integration, Fig10TightnessRobustness) {
   std::vector<double> convMeans;
   std::vector<double> adpmMeans;
   for (const double gain : {22.0, 27.0, 31.0}) {
-    scenarios::ReceiverConfig cfg;
-    cfg.gainMin = gain;
+    dpm::ScenarioSpec spec = scenarios::receiverScenario();
+    spec.setRequirement("Gain-min", gain);
     const teamsim::Comparison cmp = teamsim::compareApproaches(
-        scenarios::receiverScenario(cfg), teamsim::SimulationOptions{},
-        kSeeds);
+        spec, teamsim::SimulationOptions{}, kSeeds);
     convMeans.push_back(cmp.conventional.operations.mean());
     adpmMeans.push_back(cmp.adpm.operations.mean());
   }

@@ -8,6 +8,7 @@
 #include "scenarios/receiver.hpp"
 #include "scenarios/sensing.hpp"
 #include "scenarios/walkthrough.hpp"
+#include "util/error.hpp"
 
 namespace adpm::scenarios {
 namespace {
@@ -157,9 +158,8 @@ TEST(ReceiverScenario, GainTightnessShrinksFeasibility) {
   // Fig. 10's x axis: tightening the gain requirement shrinks the feasible
   // region but keeps the scenario solvable across the sweep.
   for (double gain : {20.0, 24.0, 28.0, 32.0}) {
-    ReceiverConfig cfg;
-    cfg.gainMin = gain;
-    const dpm::ScenarioSpec spec = receiverScenario(cfg);
+    dpm::ScenarioSpec spec = receiverScenario();
+    spec.setRequirement("Gain-min", gain);
     dpm::DesignProcessManager mgr(
         dpm::DesignProcessManager::Options{.adpm = true});
     dpm::instantiate(spec, mgr);
@@ -167,6 +167,26 @@ TEST(ReceiverScenario, GainTightnessShrinksFeasibility) {
     const auto r = prop.run(mgr.network());
     EXPECT_FALSE(r.anyViolation()) << "gainMin=" << gain;
   }
+}
+
+TEST(ReceiverScenario, SetRequirementOverwritesAnExistingRequirement) {
+  const auto gainRequirement = [](const dpm::ScenarioSpec& spec) {
+    const std::size_t gain = *spec.propertyIndex("Gain-min");
+    std::vector<double> values;
+    for (const auto& r : spec.requirements) {
+      if (r.property == gain) values.push_back(r.value);
+    }
+    return values;
+  };
+  dpm::ScenarioSpec spec = receiverScenario();
+  spec.setRequirement("Gain-min", 31.0);
+  EXPECT_EQ(gainRequirement(spec), std::vector<double>{31.0});
+  EXPECT_EQ(spec.requirements.size(), receiverScenario().requirements.size());
+  // Each call hands out its own copy of the parsed case.
+  EXPECT_EQ(gainRequirement(receiverScenario()), std::vector<double>{27.0});
+  EXPECT_THROW(spec.setRequirement("Beam-L", 10.0), adpm::InvalidArgumentError);
+  EXPECT_THROW(spec.setRequirement("No-such-property", 1.0),
+               adpm::InvalidArgumentError);
 }
 
 }  // namespace

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "scenarios/receiver.hpp"
 #include "scenarios/sensing.hpp"
 #include "scenarios/walkthrough.hpp"
@@ -38,14 +40,17 @@ TEST(SimulationEngine, ConventionalCompletesWalkthrough) {
   EXPECT_TRUE(sawVerification);
 }
 
+// The scenario name is a std::string, not a const char*: gtest prints a
+// pointer inside a tuple with its address, which would make the test names
+// differ from one build (and one ASLR layout) to the next.
 class CompletesAcrossSeeds
-    : public ::testing::TestWithParam<std::tuple<const char*, bool, int>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, bool, int>> {};
 
 TEST_P(CompletesAcrossSeeds, RunCompletes) {
   const auto& [name, adpm, seed] = GetParam();
   const dpm::ScenarioSpec spec =
-      std::string(name) == "sensing" ? scenarios::sensingSystemScenario()
-                                     : scenarios::receiverScenario();
+      name == "sensing" ? scenarios::sensingSystemScenario()
+                        : scenarios::receiverScenario();
   SimulationEngine engine(spec, opts(adpm, static_cast<std::uint64_t>(seed)));
   const SimulationResult r = engine.run();
   EXPECT_TRUE(r.completed)
@@ -61,7 +66,8 @@ TEST_P(CompletesAcrossSeeds, RunCompletes) {
 
 INSTANTIATE_TEST_SUITE_P(
     Grid, CompletesAcrossSeeds,
-    ::testing::Combine(::testing::Values("sensing", "receiver"),
+    ::testing::Combine(::testing::Values(std::string("sensing"),
+                                         std::string("receiver")),
                        ::testing::Bool(), ::testing::Values(1, 2, 3, 4, 5)));
 
 TEST(SimulationEngine, DeterministicForSameSeed) {
