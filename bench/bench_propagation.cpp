@@ -13,6 +13,7 @@
 #include "expr/sweep.hpp"
 #include "gen/generator.hpp"
 #include "gen/presets.hpp"
+#include "gen/registry.hpp"
 #include "scenarios/receiver.hpp"
 #include "scenarios/sensing.hpp"
 #include "teamsim/engine.hpp"
@@ -148,6 +149,51 @@ BENCHMARK(BM_MineGuidance)
     ->Args({1, 1})
     ->Args({1, 2})
     ->ArgNames({"receiver", "mode"});
+
+// One ADPM DCM pass — Propagator::run, then HeuristicMiner::mine with its
+// what-if re-propagations — on the zoo-medium state a TeamSim session
+// reaches after 15 operations (seed 1).  A no-op unbind bumps the network
+// generation every iteration, so each pass records its revises afresh and
+// its what-ifs replay only what that pass recorded, as in a live session.
+// `evaluations_per_pass` is the charged cost, which the revise memo must not
+// change; `sweeps_per_pass` counts the expression sweeps actually run.
+void BM_DcmPass(benchmark::State& state) {
+  teamsim::SimulationOptions options;
+  options.seed = 1;
+  teamsim::SimulationEngine engine(gen::scenarioByName("zoo-medium"),
+                                   options);
+  for (int op = 0; op < 15 && engine.step(); ++op) {
+  }
+  constraint::Network& net = engine.manager().network();
+  const auto unboundPid = [&]() {
+    for (const auto pid : net.propertyIds()) {
+      if (!net.property(pid).bound()) return pid;
+    }
+    return net.propertyIds().front();
+  }();
+  constraint::Propagator prop;
+  const constraint::HeuristicMiner miner;
+
+  const std::size_t evaluationsBefore = net.evaluationCount();
+  expr::resetSweepCount();
+  std::uint64_t passes = 0;
+  for (auto _ : state) {
+    net.unbind(unboundPid);
+    const constraint::PropagationResult propagation = prop.run(net);
+    benchmark::DoNotOptimize(miner.mine(net, propagation));
+    ++passes;
+  }
+  const auto perPass = [&](double total) {
+    return benchmark::Counter(
+        passes == 0 ? 0.0 : total / static_cast<double>(passes));
+  };
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+  state.counters["evaluations_per_pass"] = perPass(
+      static_cast<double>(net.evaluationCount() - evaluationsBefore));
+  state.counters["sweeps_per_pass"] =
+      perPass(static_cast<double>(expr::sweepCount()));
+}
+BENCHMARK(BM_DcmPass)->Unit(benchmark::kMillisecond);
 
 // Size sweep over the generated scenario zoo (~10 → ~6000 constraints).
 // Zoom levels are forced eager so the whole network is active and the

@@ -12,6 +12,10 @@
 #   * mode:2 — the fast engine over an unchanged box (generation-keyed cache
 #     hit, the what-if reporting steady state);
 #   * BM_PropagationFixpoint / BM_Hc4Revise — the zero-allocation hot path;
+#   * BM_DcmPass — one whole ADPM DCM pass (propagation + mining with its
+#     what-if re-propagations) on zoo-medium after 15 TeamSim operations:
+#     wall time, evaluations_per_pass (charged, must not move) and
+#     sweeps_per_pass (expression sweeps the revise memo saves);
 #   * BM_Recovery ops:64/640 x ckpt_every:0/48 — crash-recovery wall time
 #     and ops_replayed/segments_replayed; with checkpointing on the 640-op
 #     point must stay flat relative to the 64-op one (bounded recovery),

@@ -1,10 +1,201 @@
 #include "constraint/network.hpp"
 
+#include <sys/mman.h>
+
+#include <algorithm>
+#include <bit>
+#include <new>
 #include <utility>
 
 #include "util/error.hpp"
 
 namespace adpm::constraint {
+
+namespace {
+
+/// An interval's two bounds as raw bits: memo keys compare and hash these,
+/// so -0.0 and +0.0 are different keys.
+struct Bits {
+  std::uint64_t lo;
+  std::uint64_t hi;
+  bool operator==(const Bits&) const = default;
+};
+
+Bits bitsOf(const interval::Interval& x) noexcept {
+  return std::bit_cast<Bits>(x);
+}
+
+constexpr std::uint8_t kFeasible = 1;
+constexpr std::uint8_t kNarrowed = 2;
+
+std::uint64_t mixWord(std::uint64_t h, std::uint64_t w) noexcept {
+  h = (h ^ w) * 0x9E3779B97F4A7C15ull;
+  return h ^ (h >> 32);
+}
+
+std::uint64_t mixBits(std::uint64_t h, const Bits& b) noexcept {
+  return mixWord(mixWord(h, b.lo), b.hi);
+}
+
+std::uint64_t finishHash(std::uint64_t h) noexcept {
+  h ^= h >> 33;
+  h *= 0xFF51AFD7ED558CCDull;
+  return h ^ (h >> 33);
+}
+
+}  // namespace
+
+/// The memo's fixed block.  Entries are 12 bytes; each holds `arity` input
+/// value ids at `ids[offset]`, followed (when narrowed) by `arity` output
+/// ids.  `values` starts with the recorded run's initial box, then one value
+/// per argument a revise actually changed.  Every member is trivially
+/// default-constructible, so constructing the block touches no page.
+struct ReviseMemo::Storage {
+  static constexpr std::size_t kSlots = 2 * kMaxEntries;
+  static constexpr std::size_t kMaxIds = 8 * kMaxEntries;
+  static constexpr std::size_t kMaxValues = 2 * kMaxEntries;
+
+  struct Entry {
+    std::uint32_t constraint;
+    std::uint32_t offset;
+    std::uint16_t arity;
+    std::uint8_t flags;
+    Status status;
+  };
+  static_assert(sizeof(Entry) == 12);
+
+  Entry entries[kMaxEntries];
+  /// Open-addressing index: entry index + 1, 0 = empty.
+  std::uint32_t slots[kSlots];
+  std::uint32_t ids[kMaxIds];
+  Bits values[kMaxValues];
+};
+
+void ReviseMemo::Unmap::operator()(Storage* s) const noexcept {
+  s->~Storage();
+  ::munmap(s, sizeof(Storage));
+}
+
+ReviseMemo::ReviseMemo(ReviseMemo&& other) noexcept
+    : storage_(std::move(other.storage_)),
+      current_(std::move(other.current_)),
+      state_(std::exchange(other.state_, State{})) {}
+
+ReviseMemo& ReviseMemo::operator=(ReviseMemo&& other) noexcept {
+  storage_ = std::move(other.storage_);
+  current_ = std::move(other.current_);
+  state_ = std::exchange(other.state_, State{});
+  return *this;
+}
+
+std::size_t ReviseMemo::mappedBytes() const noexcept {
+  return storage_ ? sizeof(Storage) : 0;
+}
+
+bool ReviseMemo::beginRecording(std::uint64_t generation,
+                                std::span<const interval::Interval> box) {
+  if (generation == state_.generation) return false;
+  state_ = State{.generation = generation, .hits = state_.hits};
+  if (!storage_) {
+    void* block = ::mmap(nullptr, sizeof(Storage), PROT_READ | PROT_WRITE,
+                         MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (block == MAP_FAILED) return false;  // run without a memo
+    storage_.reset(new (block) Storage);
+  }
+  if (box.size() > Storage::kMaxValues) return false;
+  current_.resize(box.size());
+  for (std::size_t i = 0; i < box.size(); ++i) {
+    storage_->values[i] = bitsOf(box[i]);
+    current_[i] = static_cast<std::uint32_t>(i);
+  }
+  state_.values = box.size();
+  state_.recording = true;
+  return true;
+}
+
+void ReviseMemo::record(ConstraintId c, const Outcome& outcome,
+                        std::span<const PropertyId> args,
+                        std::span<const interval::Interval> box) {
+  if (!state_.recording) return;
+  Storage& s = *storage_;
+  const std::size_t arity = args.size();
+  if (state_.entries == kMaxEntries ||
+      state_.ids + 2 * arity > Storage::kMaxIds ||
+      state_.values + arity > Storage::kMaxValues) {
+    state_.recording = false;
+    return;
+  }
+  s.entries[state_.entries++] = Storage::Entry{
+      c.value, static_cast<std::uint32_t>(state_.ids),
+      static_cast<std::uint16_t>(arity),
+      static_cast<std::uint8_t>((outcome.feasible ? kFeasible : 0) |
+                                (outcome.narrowed ? kNarrowed : 0)),
+      outcome.status};
+  for (const PropertyId a : args) s.ids[state_.ids++] = current_[a.value];
+  if (!outcome.narrowed) return;
+  for (const PropertyId a : args) {
+    const Bits after = bitsOf(box[a.value]);
+    if (!(after == s.values[current_[a.value]])) {
+      s.values[state_.values] = after;
+      current_[a.value] = static_cast<std::uint32_t>(state_.values++);
+    }
+    s.ids[state_.ids++] = current_[a.value];
+  }
+}
+
+void ReviseMemo::buildIndex() {
+  Storage& s = *storage_;
+  std::size_t size = 64;
+  while (size < 2 * state_.entries) size *= 2;
+  std::fill_n(s.slots, size, 0u);
+  const std::size_t mask = size - 1;
+  for (std::size_t i = 0; i < state_.entries; ++i) {
+    const Storage::Entry& e = s.entries[i];
+    std::uint64_t h = mixWord(0, e.constraint);
+    for (std::size_t k = 0; k < e.arity; ++k) {
+      h = mixBits(h, s.values[s.ids[e.offset + k]]);
+    }
+    std::size_t slot = finishHash(h) & mask;
+    while (s.slots[slot] != 0) slot = (slot + 1) & mask;
+    s.slots[slot] = static_cast<std::uint32_t>(i + 1);
+  }
+  state_.indexed = state_.entries;
+  state_.slots = size;
+}
+
+std::optional<ReviseMemo::Outcome> ReviseMemo::replay(
+    ConstraintId c, std::span<const interval::Interval> before,
+    std::span<const PropertyId> args, std::span<interval::Interval> box) {
+  if (state_.entries == 0) return std::nullopt;
+  if (state_.indexed != state_.entries) buildIndex();
+  const Storage& s = *storage_;
+  std::uint64_t h = mixWord(0, c.value);
+  for (const interval::Interval& x : before) h = mixBits(h, bitsOf(x));
+  const std::size_t mask = state_.slots - 1;
+  for (std::size_t slot = finishHash(h) & mask; s.slots[slot] != 0;
+       slot = (slot + 1) & mask) {
+    const Storage::Entry& e = s.entries[s.slots[slot] - 1];
+    if (e.constraint != c.value) continue;
+    const std::uint32_t* in = s.ids + e.offset;
+    bool same = true;
+    for (std::size_t k = 0; same && k < before.size(); ++k) {
+      same = s.values[in[k]] == bitsOf(before[k]);
+    }
+    if (!same) continue;
+    ++state_.hits;
+    const Outcome out{(e.flags & kFeasible) != 0, (e.flags & kNarrowed) != 0,
+                      e.status};
+    if (out.narrowed) {
+      const std::uint32_t* after = in + e.arity;
+      for (std::size_t k = 0; k < args.size(); ++k) {
+        box[args[k].value] =
+            std::bit_cast<interval::Interval>(s.values[after[k]]);
+      }
+    }
+    return out;
+  }
+  return std::nullopt;
+}
 
 PropertyId Network::addProperty(PropertySpec spec) {
   if (findProperty(spec.name)) {

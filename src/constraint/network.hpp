@@ -10,8 +10,11 @@
 // tool runs).
 #pragma once
 
+#include <cstdint>
+#include <limits>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -20,6 +23,108 @@
 #include "constraint/property.hpp"
 
 namespace adpm::constraint {
+
+/// Exact memo of HC4 revises, shared by every Propagator on one network.
+///
+/// A revise (forward sweep, toleranced target, HC4 revise, classify) is a
+/// pure function of the constraint and the bit patterns of its argument
+/// intervals, so an entry keyed on exactly those bits can never go stale:
+/// the expressions and targets never change.  The main propagation
+/// (`Propagator::run`) records each revise it computes; the what-if runs
+/// (`Propagator::runRelaxed`) replay revises found here and compute only the
+/// misses, and never record.  A hit still counts as one revise, so the
+/// revise sequence, the sweep boundaries and every charged evaluation are
+/// the ones a memo-less run produces.  Keys compare bit for bit: -0.0 and
+/// +0.0 are different keys.
+///
+/// The first main run of a new network generation clears the memo and
+/// records; later runs at that generation leave it alone.  Recording only
+/// appends; the hash index is built on the first lookup after a recording,
+/// so a pass with no what-if pays for the appends only.
+///
+/// Storage is one fixed block (ARCHITECTURE §4b) mapped straight from the
+/// operating system on the first recording and reused by every later
+/// generation: its size is a compile-time bound, untouched pages cost no
+/// memory, and a closed session returns its pages instead of leaving a hole
+/// in the malloc arena of whichever pool thread grew it.  Argument intervals
+/// are stored once per distinct value the run produced and referenced by
+/// 4-byte ids, about 50 B per entry in all.
+class ReviseMemo {
+ public:
+  /// Revises recorded per generation at most.  Recording also stops when
+  /// the value or id arrays fill first (only with unusually wide
+  /// constraints).  A constant, not an option.
+  static constexpr std::size_t kMaxEntries = 8192;
+
+  /// A revise's result: everything the propagator reads back besides the
+  /// narrowed box.
+  struct Outcome {
+    bool feasible = false;
+    /// The revise narrowed at least one argument.
+    bool narrowed = false;
+    /// Violated when infeasible, else what `classify` gave.
+    Status status = Status::Consistent;
+  };
+
+  ReviseMemo() = default;
+  ReviseMemo(ReviseMemo&& other) noexcept;
+  ReviseMemo& operator=(ReviseMemo&& other) noexcept;
+
+  /// Starts the main run of `generation` over `box`: clears the memo when
+  /// it holds another generation's revises and returns true when the run
+  /// should record; false when this generation was already recorded (or no
+  /// storage could be mapped).
+  bool beginRecording(std::uint64_t generation,
+                      std::span<const interval::Interval> box);
+
+  /// Appends one computed revise of `c` over `args`; `box` is the run's box
+  /// after the revise.  Ignored once the memo is full.
+  void record(ConstraintId c, const Outcome& outcome,
+              std::span<const PropertyId> args,
+              std::span<const interval::Interval> box);
+
+  /// Looks up the revise of `c` over exactly the argument intervals
+  /// `before`.  On a hit, writes the recorded narrowing of `args` into `box`
+  /// and returns the recorded outcome.
+  std::optional<Outcome> replay(ConstraintId c,
+                                std::span<const interval::Interval> before,
+                                std::span<const PropertyId> args,
+                                std::span<interval::Interval> box);
+
+  /// Revises recorded at the current generation.
+  std::size_t size() const noexcept { return state_.entries; }
+  bool empty() const noexcept { return state_.entries == 0; }
+  /// Bytes of address space reserved for storage; 0 before the first
+  /// recording.  Only the pages written are resident.
+  std::size_t mappedBytes() const noexcept;
+  /// Revises replayed from the memo since construction.
+  std::uint64_t hits() const noexcept { return state_.hits; }
+
+ private:
+  struct Storage;
+  struct Unmap {
+    void operator()(Storage* s) const noexcept;
+  };
+  struct State {
+    std::uint64_t generation = std::numeric_limits<std::uint64_t>::max();
+    /// Room left: cleared when an array fills, so entries stay a prefix.
+    bool recording = false;
+    std::size_t entries = 0;
+    std::size_t ids = 0;
+    std::size_t values = 0;
+    /// Entries covered by the index, and the index's slot count.
+    std::size_t indexed = 0;
+    std::size_t slots = 0;
+    std::uint64_t hits = 0;
+  };
+
+  void buildIndex();
+
+  std::unique_ptr<Storage, Unmap> storage_;
+  /// While recording: the value id of each property's current interval.
+  std::vector<std::uint32_t> current_;
+  State state_;
+};
 
 /// Everything needed to register a property.
 struct PropertySpec {
@@ -118,6 +223,11 @@ class Network {
   /// through the network, as all in-tree code does.
   std::uint64_t generation() const noexcept { return generation_; }
 
+  /// The revise memo the propagators on this network share (see
+  /// ReviseMemo).  Like Constraint::MiningCache it is pure memoization:
+  /// nothing it holds is observable except through speed.
+  ReviseMemo& reviseMemo() noexcept { return reviseMemo_; }
+
  private:
   std::vector<Property> properties_;
   std::vector<std::unique_ptr<Constraint>> constraints_;
@@ -125,6 +235,7 @@ class Network {
   std::vector<std::vector<ConstraintId>> byProperty_;
   std::size_t evaluations_ = 0;
   std::uint64_t generation_ = 0;
+  ReviseMemo reviseMemo_;
 };
 
 }  // namespace adpm::constraint

@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <cmath>
 #include <deque>
+#include <optional>
 
 #ifdef ADPM_DEBUG_CHECKS
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #endif
 
 namespace adpm::constraint {
@@ -42,6 +44,52 @@ class ScratchClaim {
 };
 #endif
 
+/// One HC4 revise of `c` over `box`, narrowing it in place: against a
+/// tolerance-padded target, where a first forward sweep sizes the pad to
+/// the residual's magnitude so boundary-exact designs are not flipped to
+/// Violated by rounding.  An infeasible revise leaves the box untouched.
+ReviseMemo::Outcome revise(Constraint& c,
+                           std::vector<interval::Interval>& box) {
+  const interval::Interval forward =
+      c.compiled().evaluate({box.data(), box.size()});
+  const interval::Interval target = tolerancedTarget(c.target(), forward);
+  const expr::ReviseResult r =
+      c.compiled().revise(target, {box.data(), box.size()});
+  ReviseMemo::Outcome out;
+  out.feasible = r.feasible;
+  out.narrowed = r.feasible && r.narrowed;
+  out.status = r.feasible ? classify(r.value, target) : Status::Violated;
+  return out;
+}
+
+#ifdef ADPM_DEBUG_CHECKS
+/// Recomputes a replayed revise over its arguments' intervals `before` and
+/// aborts unless the replay left `box` and the outcome exactly as the
+/// computation does, bit for bit.
+void checkMemoHit(Constraint& c, const std::vector<interval::Interval>& before,
+                  const std::vector<interval::Interval>& box,
+                  const ReviseMemo::Outcome& hit) {
+  std::vector<interval::Interval> probe = box;
+  for (std::size_t i = 0; i < c.arguments().size(); ++i) {
+    probe[c.arguments()[i].value] = before[i];
+  }
+  const ReviseMemo::Outcome fresh = revise(c, probe);
+  bool same = fresh.feasible == hit.feasible &&
+              fresh.narrowed == hit.narrowed && fresh.status == hit.status;
+  for (const PropertyId arg : c.arguments()) {
+    same = same && std::memcmp(&probe[arg.value], &box[arg.value],
+                               sizeof(interval::Interval)) == 0;
+  }
+  if (!same) {
+    std::fprintf(stderr,
+                 "adpm: ReviseMemo hit for constraint '%s' differs from a "
+                 "recomputed revise\n",
+                 c.name().c_str());
+    std::abort();
+  }
+}
+#endif
+
 /// True when a bound moved by more than the significance tolerance.
 bool movedSignificantly(const interval::Interval& before,
                         const interval::Interval& after, double tol) {
@@ -57,34 +105,44 @@ bool movedSignificantly(const interval::Interval& before,
 }  // namespace
 
 PropagationResult Propagator::run(Network& net) const {
-  return runOnBox(net, net.currentBox());
+  return runOnBox(net, net.currentBox(), MemoUse::Record);
 }
 
 PropagationResult Propagator::runRelaxed(Network& net, PropertyId p) const {
   auto box = net.currentBox();
   box[p.value] = net.property(p).initial.hull();
-  return runOnBox(net, std::move(box));
+  return runOnBox(net, std::move(box), MemoUse::Replay);
 }
 
-PropagationResult Propagator::runOnBox(
-    Network& net, std::vector<interval::Interval> box) const {
+PropagationResult Propagator::runOnBox(Network& net,
+                                       std::vector<interval::Interval> box,
+                                       MemoUse memoUse) const {
 #ifdef ADPM_DEBUG_CHECKS
   const ScratchClaim claim(scratchOwner_.id);
 #endif
-  return options_.referenceMode ? runOnBoxReference(net, std::move(box))
-                                : runOnBoxFast(net, std::move(box));
+  return options_.referenceMode
+             ? runOnBoxReference(net, std::move(box))
+             : runOnBoxFast(net, std::move(box), memoUse);
 }
 
 // The production hot path: identical algorithm and revise order to the
 // reference below, but every per-revise and per-candidate buffer lives in
 // the reused scratch arena, so steady-state propagation performs no heap
-// allocation beyond the result it returns.  The differential tests hold the
-// two paths to bit-identical results and charges.
-PropagationResult Propagator::runOnBoxFast(
-    Network& net, std::vector<interval::Interval> box) const {
+// allocation beyond the result it returns, and revises already in the
+// network's ReviseMemo are replayed rather than recomputed.  The
+// differential tests hold the two paths to bit-identical results and
+// charges.
+PropagationResult Propagator::runOnBoxFast(Network& net,
+                                           std::vector<interval::Interval> box,
+                                           MemoUse memoUse) const {
   const std::size_t nc = net.constraintCount();
   PropagationResult result;
   result.status.assign(nc, Status::Consistent);
+
+  ReviseMemo& memo = net.reviseMemo();
+  const bool record = memoUse == MemoUse::Record &&
+                      memo.beginRecording(net.generation(), box);
+  const bool replay = memoUse == MemoUse::Replay && !memo.empty();
 
   // FIFO queue: vector + head cursor.  Entries are appended at the tail and
   // consumed at the head; the backing storage is recycled across runs.  The
@@ -125,23 +183,23 @@ PropagationResult Propagator::runOnBoxFast(
     s.before.clear();
     for (PropertyId arg : c.arguments()) s.before.push_back(box[arg.value]);
 
-    // Revise against a tolerance-padded target: a first forward sweep sizes
-    // the pad to the residual's magnitude so boundary-exact designs are not
-    // flipped to Violated by rounding.
-    const interval::Interval forward =
-        c.compiled().evaluate({box.data(), box.size()});
-    const interval::Interval target = tolerancedTarget(c.target(), forward);
-    const expr::ReviseResult r =
-        c.compiled().revise(target, {box.data(), box.size()});
+    // A memo hit replays the revise's recorded effect on the box; a miss
+    // computes it (and the main run records it).  Either way it is one
+    // revise.
+    std::optional<ReviseMemo::Outcome> outcome;
+    if (replay) outcome = memo.replay(cid, s.before, c.arguments(), box);
+#ifdef ADPM_DEBUG_CHECKS
+    if (outcome) checkMemoHit(c, s.before, box, *outcome);
+#endif
+    if (!outcome) {
+      outcome = revise(c, box);
+      if (record) memo.record(cid, *outcome, c.arguments(), box);
+    }
     ++revises;
 
-    if (!r.feasible) {
-      result.status[cid.value] = Status::Violated;
-      continue;  // no narrowing to propagate from a violated constraint
-    }
-    result.status[cid.value] = classify(r.value, target);
-
-    if (!r.narrowed || !options_.fixpoint) continue;
+    result.status[cid.value] = outcome->status;
+    // No narrowing to propagate from a violated constraint.
+    if (!outcome->narrowed || !options_.fixpoint) continue;
 
     for (std::size_t i = 0; i < c.arguments().size(); ++i) {
       const PropertyId arg = c.arguments()[i];

@@ -78,20 +78,28 @@ class Propagator {
   const Options& options() const noexcept { return options_; }
 
   /// Runs propagation over the network's current box.  Does not modify any
-  /// property binding; evaluation cost is charged to the network.
+  /// property binding; evaluation cost is charged to the network.  The
+  /// first run at a network generation records its revises in the
+  /// network's ReviseMemo (not in referenceMode).
   PropagationResult run(Network& net) const;
 
   /// "What-if" feasible subspace: the values property `p` could be rebound
   /// to, given everything else in the current state.  Computed by relaxing p
   /// to its initial range and re-propagating.  The evaluations consumed are
-  /// charged to the network and reported in the result.
+  /// charged to the network and reported in the result.  Revises found in
+  /// the network's ReviseMemo are replayed instead of recomputed, and
+  /// charged the same (not in referenceMode).
   PropagationResult runRelaxed(Network& net, PropertyId p) const;
 
  private:
-  PropagationResult runOnBox(Network& net,
-                             std::vector<interval::Interval> box) const;
+  /// How a fast-path run uses the network's ReviseMemo.
+  enum class MemoUse : std::uint8_t { Record, Replay };
+
+  PropagationResult runOnBox(Network& net, std::vector<interval::Interval> box,
+                             MemoUse memoUse) const;
   PropagationResult runOnBoxFast(Network& net,
-                                 std::vector<interval::Interval> box) const;
+                                 std::vector<interval::Interval> box,
+                                 MemoUse memoUse) const;
   PropagationResult runOnBoxReference(
       Network& net, std::vector<interval::Interval> box) const;
 

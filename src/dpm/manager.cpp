@@ -202,8 +202,7 @@ DesignProcessManager::ExecResult DesignProcessManager::execute(Operation op) {
   ExecResult result;
   result.notifications = nm_.diff(
       record.stage, net_, statusBefore, knownStatus_,
-      previousGuidanceValid_ ? &previousGuidance_ : nullptr,
-      guidanceValid_ ? &guidance_ : nullptr,
+      previousGuidance_.get(), guidance_.get(),
       [this](const constraint::Constraint& c) {
         std::set<std::string> audience;
         for (constraint::PropertyId arg : c.arguments()) {
@@ -352,14 +351,13 @@ void DesignProcessManager::runDcmPass(
     OperationRecord& record, std::vector<constraint::Status>& before) {
   (void)record;
   (void)before;
-  const DesignConstraintManager::Evaluation eval = dcm_.evaluate(net_);
-  knownStatus_ = eval.propagation.status;
+  DesignConstraintManager::Evaluation eval = dcm_.evaluate(net_);
+  knownStatus_ = std::move(eval.propagation.status);
   std::fill(stale_.begin(), stale_.end(), false);
 
   previousGuidance_ = std::move(guidance_);
-  previousGuidanceValid_ = guidanceValid_;
-  guidance_ = std::move(eval.guidance);
-  guidanceValid_ = true;
+  guidance_ = std::make_shared<const constraint::GuidanceReport>(
+      std::move(eval.guidance));
 }
 
 void DesignProcessManager::refreshProblemStatuses() {
@@ -595,10 +593,10 @@ ManagerState DesignProcessManager::exportState() const {
   for (const DesignProblem& p : problems_) s.problemStatuses.push_back(p.status);
   s.knownStatuses = knownStatus_;
   s.stale = stale_;
-  s.guidanceValid = guidanceValid_;
-  if (guidanceValid_) s.guidance = guidance_;
-  s.previousGuidanceValid = previousGuidanceValid_;
-  if (previousGuidanceValid_) s.previousGuidance = previousGuidance_;
+  s.guidanceValid = guidance_ != nullptr;
+  if (guidance_) s.guidance = *guidance_;
+  s.previousGuidanceValid = previousGuidance_ != nullptr;
+  if (previousGuidance_) s.previousGuidance = *previousGuidance_;
   s.staged = staged_;
   s.failedAssignments = failedAssignments_;
   return s;
@@ -672,10 +670,15 @@ void DesignProcessManager::restoreState(const ManagerState& state) {
   }
   knownStatus_ = state.knownStatuses;
   stale_ = state.stale;
-  guidanceValid_ = state.guidanceValid;
-  guidance_ = state.guidance;
-  previousGuidanceValid_ = state.previousGuidanceValid;
-  previousGuidance_ = state.previousGuidance;
+  guidance_ = state.guidanceValid
+                  ? std::make_shared<const constraint::GuidanceReport>(
+                        state.guidance)
+                  : nullptr;
+  previousGuidance_ =
+      state.previousGuidanceValid
+          ? std::make_shared<const constraint::GuidanceReport>(
+                state.previousGuidance)
+          : nullptr;
   staged_ = state.staged;
   failedAssignments_ = state.failedAssignments;
   // The counter restarts at the snapshot's total: post-restore operations

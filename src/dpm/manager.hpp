@@ -22,6 +22,7 @@
 #pragma once
 
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -190,7 +191,14 @@ class DesignProcessManager {
 
   /// Latest heuristic guidance; null when running the conventional flow.
   const constraint::GuidanceReport* latestGuidance() const noexcept {
-    return options_.adpm && guidanceValid_ ? &guidance_ : nullptr;
+    return options_.adpm ? guidance_.get() : nullptr;
+  }
+  /// The same report as a shared handle.  Reports are immutable once mined
+  /// (each DCM pass installs a new one), so a reader on another thread may
+  /// keep it while later operations replace it.
+  std::shared_ptr<const constraint::GuidanceReport> sharedGuidance()
+      const noexcept {
+    return options_.adpm ? guidance_ : nullptr;
   }
 
   /// A constraint is cross-subsystem when its arguments span more than one
@@ -252,10 +260,9 @@ class DesignProcessManager {
 
   std::vector<constraint::Status> knownStatus_;
   std::vector<bool> stale_;  // conventional-mode staleness per constraint
-  constraint::GuidanceReport guidance_;
-  bool guidanceValid_ = false;
-  constraint::GuidanceReport previousGuidance_;
-  bool previousGuidanceValid_ = false;
+  /// Latest and previous DCM reports; null means none yet.
+  std::shared_ptr<const constraint::GuidanceReport> guidance_;
+  std::shared_ptr<const constraint::GuidanceReport> previousGuidance_;
 
   std::map<constraint::PropertyId, std::vector<double>> failedAssignments_;
   std::vector<bool> frozen_;  // indexed by PropertyId::value

@@ -291,16 +291,11 @@ SessionStore::applyOperation(const std::string& id, dpm::Operation op) {
   });
 }
 
-std::future<std::optional<constraint::GuidanceReport>>
+std::future<std::shared_ptr<const constraint::GuidanceReport>>
 SessionStore::queryGuidance(const std::string& id) {
-  return submit(
-      id, "queryGuidance",
-      [](Session& session) -> std::optional<constraint::GuidanceReport> {
-        const constraint::GuidanceReport* g =
-            session.manager().latestGuidance();
-        if (g == nullptr) return std::nullopt;
-        return *g;
-      });
+  return submit(id, "queryGuidance", [](Session& session) {
+    return session.manager().sharedGuidance();
+  });
 }
 
 std::future<Session::VerifyResult> SessionStore::verify(

@@ -7,7 +7,7 @@
 // concurrent sessions) hosted behind a typed command API:
 //
 //   ApplyOperation  → applyOperation(id, op)   future<ExecResult>
-//   QueryGuidance   → queryGuidance(id)        future<optional<Guidance>>
+//   QueryGuidance   → queryGuidance(id)        future<shared_ptr<Guidance>>
 //   Verify          → verify(id)               future<VerifyResult>
 //   Snapshot        → snapshot(id)             future<SessionSnapshot>
 //   Subscribe       → subscribe(id, designer)  bounded notification queue
@@ -149,9 +149,11 @@ class SessionStore {
   std::future<dpm::DesignProcessManager::ExecResult> applyOperation(
       const std::string& id, dpm::Operation op);
 
-  /// λ=F sessions resolve to nullopt (no mined guidance in that flow).
-  std::future<std::optional<constraint::GuidanceReport>> queryGuidance(
-      const std::string& id);
+  /// Resolves to the session's latest report, shared rather than copied
+  /// (reports are immutable); λ=F sessions resolve to null (no mined
+  /// guidance in that flow).
+  std::future<std::shared_ptr<const constraint::GuidanceReport>>
+  queryGuidance(const std::string& id);
 
   std::future<Session::VerifyResult> verify(const std::string& id);
 
