@@ -5,18 +5,19 @@
 // every socket is non-blocking, poll() multiplexes readiness, incoming
 // bytes are fed through a FrameParser per connection, and complete frames
 // are handed to the onFrame handler *on the reactor thread*.  Outbound
-// frames go through send(), which is thread-safe — session strands and
-// subscription pumps call it from pool threads; the bytes are queued on the
-// connection's write buffer and the reactor is woken through a self-pipe to
-// flush them.
+// frames go through send(), which is thread-safe — session strands call it
+// from pool threads; the bytes are queued on the connection's write buffer
+// and the reactor is woken through a self-pipe to flush them.
 //
 // Backpressure is explicit: queuedBytes(conn) reports the unflushed
 // outbound bytes, and when a buffer that had grown past `writeHighWater`
-// drains back below `writeLowWater` the onWritable handler fires — the
-// subscription pumps park on that signal, which stalls their bus queues,
-// which trips the NotificationBus's degraded mode (service/bus.hpp).  A
-// slow consumer therefore costs one coalesced ResyncRequired marker, never
-// unbounded server memory and never a parked session strand.
+// drains back below `writeLowWater` the onWritable handler fires.  The
+// server pushes notifications only while a connection is below the
+// high-water mark and resumes from onWritable, so a slow reader's
+// notifications wait in their bus queues, which trips the
+// NotificationBus's degraded mode (service/bus.hpp).  A slow consumer
+// therefore costs one coalesced ResyncRequired marker, never unbounded
+// server memory and never a parked session strand.
 //
 // A protocol error (malformed frame) closes the connection after an
 // optional farewell frame: a corrupt byte stream has no recoverable frame

@@ -2,7 +2,10 @@
 
 #include <chrono>
 #include <exception>
+#include <optional>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "dddl/parser.hpp"
 #include "dddl/writer.hpp"
@@ -31,11 +34,6 @@ Server::Server(service::SessionStore& store, Options options)
 
 Server::~Server() {
   if (running_.load()) kill();
-  reapRetiredPumps();
-  util::LockGuard lock(mutex_);
-  for (auto& pump : retiredPumps_) {
-    if (pump->thread.joinable()) pump->thread.join();
-  }
 }
 
 std::uint16_t Server::start() {
@@ -68,11 +66,8 @@ std::chrono::milliseconds Server::effectiveTimeout() const {
 
 void Server::handleAccept(Reactor::ConnId conn) {
   ++accepted_;
-  {
-    util::LockGuard lock(mutex_);
-    conns_.emplace(conn, ConnState{});
-  }
-  reapRetiredPumps();
+  util::LockGuard lock(mutex_);
+  conns_.insert(conn);
 }
 
 void Server::handleClose(Reactor::ConnId conn) {
@@ -81,60 +76,36 @@ void Server::handleClose(Reactor::ConnId conn) {
 }
 
 void Server::handleWritable(Reactor::ConnId conn) {
-  std::shared_ptr<Gate> gate;
+  Subscriptions mine;
   {
     util::LockGuard lock(mutex_);
-    const auto it = conns_.find(conn);
-    if (it == conns_.end()) return;
-    gate = it->second.gate;
-  }
-  {
-    util::LockGuard lock(gate->mutex);
-  }
-  gate->cv.notify_all();
-}
-
-void Server::retireConn(Reactor::ConnId conn) {
-  ConnState state;
-  {
-    util::LockGuard lock(mutex_);
-    const auto it = conns_.find(conn);
-    if (it == conns_.end()) return;
-    state = std::move(it->second);
-    conns_.erase(it);
-  }
-  {
-    util::LockGuard lock(state.gate->mutex);
-    state.gate->open = false;
-  }
-  state.gate->cv.notify_all();
-  for (auto& pump : state.pumps) pump->queue->close();
-  {
-    util::LockGuard lock(mutex_);
-    for (auto& pump : state.pumps) retiredPumps_.push_back(std::move(pump));
-  }
-  reapRetiredPumps();
-}
-
-void Server::reapRetiredPumps() {
-  // Pumps whose loop has exited get joined opportunistically (the join of a
-  // finished thread is immediate); the rest wait for shutdown()/~Server.
-  std::vector<std::unique_ptr<Pump>> done;
-  {
-    util::LockGuard lock(mutex_);
-    auto it = retiredPumps_.begin();
-    while (it != retiredPumps_.end()) {
-      if ((*it)->done.load()) {
-        done.push_back(std::move(*it));
-        it = retiredPumps_.erase(it);
-      } else {
-        ++it;
+    for (const auto& [id, subs] : subsBySession_) {
+      for (const auto& sub : subs) {
+        if (sub->conn == conn) mine.push_back(sub);
       }
     }
   }
-  for (auto& pump : done) {
-    if (pump->thread.joinable()) pump->thread.join();
+  for (const auto& sub : mine) deliver(*sub);
+}
+
+void Server::retireConn(Reactor::ConnId conn) {
+  Subscriptions dead;
+  {
+    util::LockGuard lock(mutex_);
+    conns_.erase(conn);
+    for (auto& [id, subs] : subsBySession_) {
+      std::erase_if(subs, [&](const std::shared_ptr<Subscription>& sub) {
+        if (sub->conn != conn) return false;
+        dead.push_back(sub);
+        return true;
+      });
+    }
+    std::erase_if(subsBySession_,
+                  [](const auto& entry) { return entry.second.empty(); });
   }
+  // Closed queues refuse further publishes; the bus forgets them when
+  // their session closes.
+  for (const auto& sub : dead) sub->queue->close();
 }
 
 // -- frame dispatch (reactor thread) ------------------------------------------
@@ -245,6 +216,10 @@ void Server::dispatch(Reactor::ConnId conn, FrameType type,
             } catch (const std::exception& e) {
               sendError(conn, reqId, e);
             }
+            // Session::apply is the only publisher, so draining here — in
+            // every outcome, after the response — reaches each of this
+            // session's subscribers, on any connection.
+            for (const auto& sub : subscriptionsOf(id)) deliver(*sub);
           });
       return;
     }
@@ -318,14 +293,26 @@ void Server::dispatch(Reactor::ConnId conn, FrameType type,
     case FrameType::Subscribe: {
       const std::string id = req.at("session").asString();
       const std::string designer = req.at("designer").asString();
-      auto queue = store_.subscribe(id, designer);
-      startPump(conn, id, designer, std::move(queue));
+      auto sub = std::make_shared<Subscription>();
+      sub->conn = conn;
+      sub->sessionId = id;
+      sub->queue = store_.subscribe(id, designer);
+      ++subscriptions_;
+      {
+        // The connection is live: its onClose runs on this (the reactor)
+        // thread, after every frame it delivered.
+        util::LockGuard lock(mutex_);
+        subsBySession_[id].push_back(sub);
+      }
       json::Value body{json::Object{}};
       body.set("req", reqId);
       body.set("session", id);
       body.set("designer", designer);
       body.set("subscribed", true);
       sendResult(conn, std::move(body));
+      // An Apply task that looked up its subscribers before the insert
+      // above may already have published into the queue.
+      deliver(*sub);
       return;
     }
 
@@ -339,6 +326,18 @@ void Server::dispatch(Reactor::ConnId conn, FrameType type,
     case FrameType::CloseSession: {
       const std::string id = req.at("session").asString();
       store_.close(id);
+      Subscriptions subs;
+      {
+        util::LockGuard lock(mutex_);
+        const auto it = subsBySession_.find(id);
+        if (it != subsBySession_.end()) {
+          subs = std::move(it->second);
+          subsBySession_.erase(it);
+        }
+      }
+      // The queues are closed now; push what they still hold (a
+      // backpressured connection keeps the rest unsent) before the ack.
+      for (const auto& sub : subs) deliver(*sub);
       json::Value body{json::Object{}};
       body.set("req", reqId);
       body.set("session", id);
@@ -435,62 +434,33 @@ void Server::protocolFailure(Reactor::ConnId conn, const std::string& message) {
   reactor_->close(conn, /*flushFirst=*/true);
 }
 
-// -- subscription pumps -------------------------------------------------------
+// -- notification delivery --------------------------------------------------
 
-void Server::startPump(Reactor::ConnId conn, const std::string& sessionId,
-                       const std::string& designer,
-                       std::shared_ptr<service::NotificationBus::Queue> queue) {
-  (void)designer;
-  ++subscriptions_;
-  std::shared_ptr<Gate> gate;
-  Pump* raw = nullptr;
-  {
-    util::LockGuard lock(mutex_);
-    const auto it = conns_.find(conn);
-    if (it == conns_.end()) {
-      queue->close();
-      return;
-    }
-    gate = it->second.gate;
-    auto pump = std::make_unique<Pump>();
-    pump->queue = queue;
-    raw = pump.get();
-    it->second.pumps.push_back(std::move(pump));
-  }
-  raw->thread = std::thread([this, conn, sessionId, queue = std::move(queue),
-                             gate = std::move(gate), raw]() mutable {
-    pumpLoop(conn, std::move(sessionId), std::move(queue), std::move(gate),
-             raw);
-  });
-}
-
-void Server::pumpLoop(Reactor::ConnId conn, std::string sessionId,
-                      std::shared_ptr<service::NotificationBus::Queue> queue,
-                      std::shared_ptr<Gate> gate, Pump* self) {
-  for (;;) {
-    std::optional<dpm::Notification> n = queue->pop();
-    if (!n) break;  // queue closed and drained: session or connection gone
+// Two drainers share a subscription: the session's strand (after each Apply)
+// and the reactor thread (handleWritable).  The subscription mutex keeps
+// their frames in bus-queue order.  No wakeup is lost: deliver() stops only
+// on an empty queue (the next publish is followed by the publisher's own
+// deliver), on a dead connection, or after seeing queuedBytes at or above
+// the high-water mark.  Only a send() can raise the buffer to that mark,
+// and that send() set the reactor's wasAboveHighWater flag, so onWritable
+// fires — and drains this subscription again — once the peer has read the
+// buffer down to the low-water mark.
+void Server::deliver(Subscription& sub) {
+  util::LockGuard lock(sub.mutex);
+  while (reactor_->queuedBytes(sub.conn) < options_.reactor.writeHighWater) {
+    std::optional<dpm::Notification> n = sub.queue->tryPop();
+    if (!n) return;
     const std::string payload =
-        json::serialize(notificationToJson(sessionId, *n));
-    bool alive;
-    {
-      // Backpressure: park while the connection's write buffer is above the
-      // reactor's high-water mark.  While parked, this pump stops draining
-      // its bus queue — which is exactly what arms the bus's degraded mode
-      // for a persistently slow consumer.  The wait re-polls on a short
-      // timer as well as on the onWritable signal.
-      util::UniqueLock lock(gate->mutex);
-      while (gate->open && !stopping_.load() &&
-             reactor_->queuedBytes(conn) >= options_.reactor.writeHighWater) {
-        (void)gate->cv.wait_for(lock, std::chrono::milliseconds(50));
-      }
-      alive = gate->open && !stopping_.load();
-    }
-    if (!alive) break;
-    if (!reactor_->send(conn, FrameType::Notification, payload)) break;
+        json::serialize(notificationToJson(sub.sessionId, *n));
+    if (!reactor_->send(sub.conn, FrameType::Notification, payload)) return;
     ++pushes_;
   }
-  self->done.store(true);
+}
+
+Server::Subscriptions Server::subscriptionsOf(const std::string& sessionId) {
+  util::LockGuard lock(mutex_);
+  const auto it = subsBySession_.find(sessionId);
+  return it == subsBySession_.end() ? Subscriptions{} : it->second;
 }
 
 // -- shutdown -----------------------------------------------------------------
@@ -508,8 +478,7 @@ bool Server::shutdown(std::chrono::milliseconds drainDeadline) {
   std::vector<Reactor::ConnId> ids;
   {
     util::LockGuard lock(mutex_);
-    ids.reserve(conns_.size());
-    for (const auto& [id, state] : conns_) ids.push_back(id);
+    ids.assign(conns_.begin(), conns_.end());
   }
   for (const Reactor::ConnId id : ids) {
     reactor_->send(id, FrameType::Shutdown, payload);
@@ -548,14 +517,11 @@ bool Server::shutdown(std::chrono::milliseconds drainDeadline) {
     drainer.detach();
   }
 
-  // Stop the pumps and close every connection — flushing queued responses
-  // and farewells when the drain completed, dropping them when it didn't.
-  stopping_.store(true);
+  // Close every connection — flushing queued responses and farewells when
+  // the drain completed, dropping them when it didn't.
   {
     util::LockGuard lock(mutex_);
-    for (auto& [id, connState] : conns_) connState.gate->cv.notify_all();
-    ids.clear();
-    for (const auto& [id, connState] : conns_) ids.push_back(id);
+    ids.assign(conns_.begin(), conns_.end());
   }
   for (const Reactor::ConnId id : ids) {
     reactor_->close(id, /*flushFirst=*/drained);
@@ -569,16 +535,6 @@ bool Server::shutdown(std::chrono::milliseconds drainDeadline) {
 
   reactor_->stop();
   if (reactorThread_.joinable()) reactorThread_.join();
-  // Reactor teardown destroyed the remaining connections, which retired
-  // every pump; join them all.
-  std::vector<std::unique_ptr<Pump>> pumps;
-  {
-    util::LockGuard lock(mutex_);
-    pumps.swap(retiredPumps_);
-  }
-  for (auto& pump : pumps) {
-    if (pump->thread.joinable()) pump->thread.join();
-  }
   running_.store(false);
   return drained;
 }
@@ -586,25 +542,12 @@ bool Server::shutdown(std::chrono::milliseconds drainDeadline) {
 void Server::kill() {
   if (!running_.load()) return;
   draining_.store(true);
-  stopping_.store(true);
-  {
-    util::LockGuard lock(mutex_);
-    for (auto& [id, state] : conns_) state.gate->cv.notify_all();
-  }
   reactor_->stop();
   if (reactorThread_.joinable()) reactorThread_.join();
   // In-flight strand commands capture `this` to send their responses; wait
   // for them (they finish promptly — their sends hit dead connections and
   // drop) so destroying the Server right after kill() is safe.
   store_.drain();
-  std::vector<std::unique_ptr<Pump>> pumps;
-  {
-    util::LockGuard lock(mutex_);
-    pumps.swap(retiredPumps_);
-  }
-  for (auto& pump : pumps) {
-    if (pump->thread.joinable()) pump->thread.join();
-  }
   running_.store(false);
 }
 

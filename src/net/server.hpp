@@ -9,12 +9,15 @@
 //     executes the command with exclusive session access and sends the
 //     Result/Error frame itself, so the reactor never blocks on a command
 //     and a session's remote operations serialize exactly like local ones;
-//   * Subscribe registers the connection with the NotificationBus and
-//     spawns a pump that streams the queue as Notification push frames,
-//     parking on the connection's write-backpressure gate when the peer
-//     reads slowly — which fills the bus queue, which trips the bus's
-//     degraded mode, which coalesces the stream into one ResyncRequired
-//     marker (the PR-5 machinery, now end-to-end across the wire);
+//   * Subscribe registers a Subscription (connection + NotificationBus
+//     queue).  Nothing runs per subscription: an Apply task, after its
+//     Result/Error frame, drains the queues of its session into
+//     Notification push frames, and the reactor's writable callback drains
+//     the queues of a connection whose write buffer has fallen back below
+//     the low-water mark.  Either drainer stops at the reactor's high-water
+//     mark, so a slow reader leaves its notifications in the bus queue —
+//     which trips the bus's degraded mode, which coalesces the stream into
+//     one ResyncRequired marker (service/bus.hpp);
 //   * Open/Status/CloseSession run inline on the reactor thread (rare,
 //     cheap, or both).
 //
@@ -35,6 +38,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -101,23 +105,17 @@ class Server {
   Stats stats() const;
 
  private:
-  struct Gate {
-    util::Mutex mutex;
-    util::CondVar cv;
-    /// False once the connection died or the server stops.
-    bool open ADPM_GUARDED_BY(mutex) = true;
-  };
-
-  struct Pump {
-    std::thread thread;
+  /// One Subscribe: the bus queue of one (session, designer) seat, pushed
+  /// to one connection.  `mutex` serializes the two drainers — the
+  /// session's strand and the reactor thread — so frames leave in queue
+  /// order.
+  struct Subscription {
+    Reactor::ConnId conn = 0;
+    std::string sessionId;
     std::shared_ptr<service::NotificationBus::Queue> queue;
-    std::atomic<bool> done{false};
+    util::Mutex mutex;
   };
-
-  struct ConnState {
-    std::shared_ptr<Gate> gate = std::make_shared<Gate>();
-    std::vector<std::unique_ptr<Pump>> pumps;
-  };
+  using Subscriptions = std::vector<std::shared_ptr<Subscription>>;
 
   void handleAccept(Reactor::ConnId conn);
   void handleFrame(Reactor::ConnId conn, Frame&& frame);
@@ -129,14 +127,13 @@ class Server {
   void sendResult(Reactor::ConnId conn, util::json::Value body);
   void sendError(Reactor::ConnId conn, double reqId, const std::exception& e);
   void protocolFailure(Reactor::ConnId conn, const std::string& message);
-  void startPump(Reactor::ConnId conn, const std::string& sessionId,
-                 const std::string& designer,
-                 std::shared_ptr<service::NotificationBus::Queue> queue);
-  void pumpLoop(Reactor::ConnId conn, std::string sessionId,
-                std::shared_ptr<service::NotificationBus::Queue> queue,
-                std::shared_ptr<Gate> gate, Pump* self);
+  /// Pushes the subscription's queued notifications until the queue is
+  /// empty or the connection's write buffer reaches the high-water mark.
+  void deliver(Subscription& sub);
+  /// Snapshot of a session's subscriptions, taken under mutex_ and
+  /// delivered outside it.
+  Subscriptions subscriptionsOf(const std::string& sessionId);
   void retireConn(Reactor::ConnId conn);
-  void reapRetiredPumps();
   std::chrono::milliseconds effectiveTimeout() const;
   util::json::Value statusJson();
 
@@ -149,11 +146,12 @@ class Server {
   std::atomic<std::uint16_t> port_{0};
   std::atomic<bool> running_{false};
   std::atomic<bool> draining_{false};
-  std::atomic<bool> stopping_{false};
 
   mutable util::Mutex mutex_;
-  std::map<Reactor::ConnId, ConnState> conns_ ADPM_GUARDED_BY(mutex_);
-  std::vector<std::unique_ptr<Pump>> retiredPumps_ ADPM_GUARDED_BY(mutex_);
+  /// Live connections, for the shutdown farewell and close.
+  std::set<Reactor::ConnId> conns_ ADPM_GUARDED_BY(mutex_);
+  /// Keyed by session id: Apply tasks look up their own session's.
+  std::map<std::string, Subscriptions> subsBySession_ ADPM_GUARDED_BY(mutex_);
 
   std::atomic<std::size_t> accepted_{0}, closed_{0}, frames_{0}, results_{0},
       errors_{0}, protocolErrors_{0}, timeouts_{0}, pushes_{0},

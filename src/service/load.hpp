@@ -5,8 +5,9 @@
 // TeamClient (one SimulatedDesigner per seat, per-session seed stream).
 // Each applied operation chains the next one onto the session's strand, so
 // a session's process serializes while the fleet of sessions saturates the
-// executor — the workload the service_bench measures (ops/sec, sessions/sec)
-// and the TSan concurrency tests run for races.
+// executor — the in-process fleet session_service_cli drives and the TSan
+// concurrency tests run for races.  (The benchmark of record is adpm_bench
+// in bench/e2e, which runs its own closed loop.)
 #pragma once
 
 #include <cstddef>
