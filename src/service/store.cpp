@@ -1,7 +1,10 @@
 #include "service/store.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <exception>
 #include <filesystem>
+#include <optional>
 #include <set>
 #include <thread>
 
@@ -20,6 +23,68 @@ bool safeId(const std::string& id) {
            (c >= '0' && c <= '9') || c == '.' || c == '_' || c == '-';
   });
 }
+
+/// One session's recovery, as a job of one recover() call.  Exactly one of
+/// `session`, `error` and `fatal` is set once the job has run.
+struct RecoverJob {
+  std::string id;
+  std::string path;
+  std::unique_ptr<Session> session;
+  SalvageOutcome salvage;
+  /// An adpm::Error's text: the session is skipped and reported.
+  std::optional<std::string> error;
+  /// Anything else, rethrown by the caller in id order.
+  std::exception_ptr fatal;
+};
+
+/// The jobs of one recover() call and the index they are pulled from.  The
+/// calling thread and the pool helpers run the same loop; helpers hold the
+/// batch by shared_ptr, so one that is dequeued after the call returned
+/// finds no job left and touches nothing else.
+struct RecoverBatch {
+  RecoverBatch(std::vector<RecoverJob> jobsIn, Session::Options optionsIn,
+               RecoveryPolicy policyIn)
+      : jobs(std::move(jobsIn)),
+        count(jobs.size()),
+        options(std::move(optionsIn)),
+        policy(policyIn) {}
+
+  /// Runs jobs until the index is exhausted.  Never throws: each job keeps
+  /// its own outcome.
+  void work() {
+    for (;;) {
+      const std::size_t i = next.fetch_add(1);
+      if (i >= count) return;
+      RecoverJob& job = jobs[i];
+      if (!job.error) {  // not already failed by the store.recover failpoint
+        try {
+          job.session = recoverSession(job.path, options, policy, &job.salvage);
+        } catch (const adpm::Error& e) {
+          job.error = e.what();
+        } catch (...) {
+          job.fatal = std::current_exception();
+        }
+      }
+      util::LockGuard lock(mutex);
+      if (++finished == count) allFinished.notify_all();
+    }
+  }
+
+  /// Blocks until every job has run (whoever ran it).
+  void wait() {
+    util::UniqueLock lock(mutex);
+    while (finished != count) allFinished.wait(lock);
+  }
+
+  std::vector<RecoverJob> jobs;
+  const std::size_t count;
+  const Session::Options options;
+  const RecoveryPolicy policy;
+  std::atomic<std::size_t> next{0};
+  util::Mutex mutex;
+  util::CondVar allFinished;
+  std::size_t finished ADPM_GUARDED_BY(mutex) = 0;
+};
 
 }  // namespace
 
@@ -125,54 +190,83 @@ std::vector<std::string> SessionStore::recover() {
     }
   }
 
+  // Ids, live-session skips and the store.recover failpoint are decided
+  // here, in id order, so a fault plan fails the same ids whatever the pool
+  // size.  Skipping live sessions before touching their files matters:
+  // re-replaying the chain under a live session would re-report (and under
+  // Salvage re-mutate) a log that is actively being appended to.
+  std::vector<RecoverJob> jobs;
   for (const std::string& id : idsOnDisk) {
-    const std::string path = walPathOf(id);
     {
-      // Skip live sessions *before* touching their files: re-replaying the
-      // chain under a live session would re-report (and under Salvage
-      // re-mutate) a log that is actively being appended to.
       util::LockGuard lock(mutex_);
       if (sessions_.contains(id)) continue;
     }
-    // One bad session (corrupt, diverged, id raced in) must not abort
-    // recovery of the remaining ones; it is skipped and reported instead.
+    RecoverJob& job = jobs.emplace_back();
+    job.id = id;
+    job.path = walPathOf(id);
+    if (ADPM_FAULT_POINT("store.recover") != util::FaultAction::None) {
+      job.error = "injected failure recovering '" + job.path + "'";
+    }
+  }
+
+  // Sessions share no state, so their replays run as jobs on the pool.  The
+  // calling thread works the same index as the helpers, which is why this
+  // cannot deadlock on a pool whose workers are all busy (or on the
+  // inline executor, which has none: the caller then runs every job in
+  // order).
+  auto batch = std::make_shared<RecoverBatch>(
+      std::move(jobs), options_.session, options_.recovery);
+  const std::size_t helpers = std::min<std::size_t>(
+      executor_.workerCount(), batch->count > 0 ? batch->count - 1 : 0);
+  for (std::size_t i = 0; i < helpers; ++i) {
     try {
-      if (ADPM_FAULT_POINT("store.recover") != util::FaultAction::None) {
-        throw adpm::FaultInjectedError("injected failure recovering '" +
-                                       path + "'");
-      }
-      SalvageOutcome salvage;
-      std::unique_ptr<Session> session = recoverSession(
-          path, options_.session, options_.recovery, &salvage);
-      {
-        util::LockGuard lock(mutex_);
-        if (sessions_.contains(id)) continue;  // open(id) raced in
-        adoptLocked(id, std::move(session));
-      }
-      recovered.push_back(id);
-      if (salvage.salvaged || salvage.checkpointFallbacks > 0 ||
-          salvage.checkpointUsed) {
-        RecoveryEvent event;
-        event.path = path;
-        event.detail = salvage.reason;
-        event.salvaged = salvage.salvaged;
-        event.keptStage = salvage.keptStage;
-        event.droppedOperations = salvage.droppedOperations;
-        event.droppedBytes = salvage.droppedBytes;
-        event.checkpointUsed = salvage.checkpointUsed;
-        event.checkpointSeq = salvage.checkpointSeq;
-        event.checkpointStage = salvage.checkpointStage;
-        event.checkpointFallbacks = salvage.checkpointFallbacks;
-        event.segmentsReplayed = salvage.segmentsReplayed;
-        event.operationsReplayed = salvage.operationsReplayed;
-        events.push_back(std::move(event));
-      }
-    } catch (const adpm::Error& e) {
-      errors.push_back(path + ": " + e.what());
+      executor_.post([batch] { batch->work(); });
+    } catch (const adpm::FaultInjectedError&) {
+      continue;  // one helper fewer; the others and the caller take its share
+    }
+  }
+  batch->work();
+  batch->wait();
+  // Every job has run, so no helper touches the jobs any more; taking them
+  // makes every session not adopted below die on this thread.
+  jobs = std::move(batch->jobs);
+
+  // Install and report in id order, exactly as a serial run would.  One bad
+  // session (corrupt, diverged, id raced in) must not abort recovery of the
+  // remaining ones; it is skipped and reported instead.
+  for (RecoverJob& job : jobs) {
+    if (job.fatal) std::rethrow_exception(job.fatal);
+    if (job.error) {
+      errors.push_back(job.path + ": " + *job.error);
       RecoveryEvent event;
-      event.path = path;
-      event.detail = e.what();
+      event.path = job.path;
+      event.detail = *job.error;
       event.sessionLost = true;
+      events.push_back(std::move(event));
+      continue;
+    }
+    {
+      util::LockGuard lock(mutex_);
+      if (sessions_.contains(job.id)) continue;  // open(id) raced in
+      adoptLocked(job.id, std::move(job.session));
+    }
+    recovered.push_back(job.id);
+    const SalvageOutcome& salvage = job.salvage;
+    if (salvage.salvaged || salvage.checkpointFallbacks > 0 ||
+        salvage.checkpointUsed) {
+      RecoveryEvent event;
+      event.path = job.path;
+      event.detail = salvage.reason;
+      event.salvaged = salvage.salvaged;
+      event.keptStage = salvage.keptStage;
+      event.droppedOperations = salvage.droppedOperations;
+      event.droppedBytes = salvage.droppedBytes;
+      event.checkpointUsed = salvage.checkpointUsed;
+      event.checkpointSeq = salvage.checkpointSeq;
+      event.checkpointStage = salvage.checkpointStage;
+      event.checkpointFallbacks = salvage.checkpointFallbacks;
+      event.segmentsReplayed = salvage.segmentsReplayed;
+      event.operationsReplayed = salvage.operationsReplayed;
       events.push_back(std::move(event));
     }
   }

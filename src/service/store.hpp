@@ -127,6 +127,15 @@ class SessionStore {
   /// in the store are skipped *before* any replay, and each call clears
   /// the previous call's errors/report: calling recover() twice never
   /// double-replays or double-reports.
+  ///
+  /// Sessions are rebuilt in parallel, as jobs on this store's executor:
+  /// the calling thread works the job index alongside up to workerCount()
+  /// helpers (alone on the inline executor, or when the workers are busy),
+  /// and the store lock is not held while jobs run.  Ids, the store.recover
+  /// failpoint, installation and every report are handled in sorted id
+  /// order, so the result is identical to an inline run whatever the pool
+  /// size.  An exception other than adpm::Error is rethrown after all jobs
+  /// finish, the first in id order, with the sessions before it installed.
   std::vector<std::string> recover();
 
   /// "<path>: <reason>" for every log the most recent recover() skipped.

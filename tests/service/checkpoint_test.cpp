@@ -6,9 +6,13 @@
 // never what state comes out.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <future>
+#include <map>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -21,6 +25,7 @@
 #include "service/wal.hpp"
 #include "util/error.hpp"
 #include "util/json.hpp"
+#include "util/strings.hpp"
 
 namespace adpm::service {
 namespace {
@@ -352,6 +357,248 @@ TEST_F(CheckpointTest, StoreRecoverTwiceDoesNotDoubleReport) {
   EXPECT_TRUE(store.recoverErrors().empty());
   EXPECT_EQ(store.snapshot("s").get().stage, 30u);
   EXPECT_EQ(store.snapshot("s").get().digest, liveDigest);
+}
+
+// -- recovery on a worker pool ------------------------------------------------
+//
+// recover() rebuilds the sessions as jobs on the store's executor; what it
+// reports must be what the inline executor reports for the same directory:
+// the ids, the errors, every RecoveryEvent field, each session's state and
+// the files recovery leaves behind.  The pool only changes who runs a job.
+
+std::string readFile(const fs::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
+}
+
+void writeFile(const fs::path& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out << bytes;
+}
+
+/// File name -> bytes for every file in `dir`.
+std::map<std::string, std::string> filesOf(const fs::path& dir) {
+  std::map<std::string, std::string> files;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    files[entry.path().filename().string()] = readFile(entry.path());
+  }
+  return files;
+}
+
+/// Cuts the last `bytes` bytes off `path`: a torn tail.
+void tear(const fs::path& path, std::size_t bytes) {
+  const std::string content = readFile(path);
+  writeFile(path, content.substr(0, content.size() - bytes));
+}
+
+/// Rewrites the first mark of `segment` with a wrong digest and a *valid*
+/// crc, so only replaying up to the mark can tell it is wrong.
+void forgeFirstMark(const fs::path& segment) {
+  const std::string bytes = readFile(segment);
+  const std::size_t at = bytes.find("{\"t\":\"mark\"");
+  ASSERT_NE(at, std::string::npos) << segment;
+  const std::size_t end = bytes.find('\n', at);
+  ASSERT_NE(end, std::string::npos);
+  const util::json::Value mark = util::json::parse(bytes.substr(at, end - at));
+  util::json::Object stripped;
+  for (const auto& [key, member] : mark.asObject()) {
+    if (key == "digest") {
+      stripped.emplace_back(key, util::json::Value{"0000000000000bad"});
+    } else if (key != "crc") {
+      stripped.emplace_back(key, member);
+    }
+  }
+  const std::string base =
+      util::json::serialize(util::json::Value{std::move(stripped)});
+  const std::string line = base.substr(0, base.size() - 1) + ",\"crc\":\"" +
+                           util::fnv1a64Hex(base) + "\"}";
+  writeFile(segment, bytes.substr(0, at) + line + bytes.substr(end));
+}
+
+std::string render(const RecoveryEvent& e) {
+  std::ostringstream out;
+  out << e.path << " | " << e.detail << " | lost=" << e.sessionLost
+      << " salvaged=" << e.salvaged << " kept=" << e.keptStage
+      << " droppedOps=" << e.droppedOperations
+      << " droppedBytes=" << e.droppedBytes << " ckpt=" << e.checkpointUsed
+      << " seq=" << e.checkpointSeq << " stage=" << e.checkpointStage
+      << " fallbacks=" << e.checkpointFallbacks
+      << " segments=" << e.segmentsReplayed
+      << " replayed=" << e.operationsReplayed;
+  return out.str();
+}
+
+std::size_t countContaining(const std::vector<std::string>& lines,
+                            const std::string& needle) {
+  std::size_t n = 0;
+  for (const std::string& line : lines) {
+    if (line.find(needle) != std::string::npos) ++n;
+  }
+  return n;
+}
+
+/// Everything one recover() reports, plus the directory it leaves behind
+/// once the store (and with it every recovered session) is gone.
+struct RecoveryResult {
+  std::vector<std::string> ids;
+  std::vector<std::string> errors;
+  std::vector<std::string> events;
+  std::map<std::string, std::string> snapshots;
+  std::map<std::string, std::string> files;
+};
+
+class SessionStoreRecovery : public CheckpointTest {
+ protected:
+  static std::string idOf(std::size_t k) {
+    return std::string("s") + (k < 10 ? "0" : "") + std::to_string(k);
+  }
+
+  /// Journals `count` sessions, session k running 3k + 6 ops, so stages,
+  /// checkpoint counts and compaction differ from one session to the next.
+  void journal(const fs::path& dir, std::size_t count) {
+    SessionStore store{storeOptions(dir, false)};
+    for (std::size_t k = 0; k < count; ++k) {
+      const std::string id = idOf(k);
+      store.open(id, spec_, /*adpm=*/k % 3 != 2);
+      for (std::size_t i = 0; i < 3 * k + 6; ++i) {
+        store.applyOperation(id, synthOp(i + k, spec_.properties.size()))
+            .get();
+      }
+    }
+  }
+
+  /// Copies `source` to the one work directory every recovery runs in (the
+  /// same path, so reported paths compare equal), recovers it with the
+  /// inline executor (threads 0) or a pool, and captures the result.
+  RecoveryResult recoverCopy(const fs::path& source, bool salvage,
+                             unsigned threads) {
+    const fs::path work = dir_ / "work";
+    fs::remove_all(work);
+    fs::copy(source, work);
+    RecoveryResult out;
+    {
+      SessionStore::Options o = storeOptions(work, salvage);
+      o.executor.deterministic = threads == 0;
+      o.executor.threads = threads;
+      SessionStore store{std::move(o)};
+      out.ids = store.recover();
+      out.errors = store.recoverErrors();
+      for (const RecoveryEvent& event : store.recoverReport()) {
+        out.events.push_back(render(event));
+      }
+      for (const std::string& id : out.ids) {
+        out.snapshots[id] = store.snapshot(id).get().text;
+      }
+    }
+    out.files = filesOf(work);
+    return out;
+  }
+
+  /// 14 sessions, checkpointed from s01 on, five of them damaged.
+  fs::path damagedDirectory() {
+    const fs::path base = dir_ / "base";
+    journal(base, 14);
+    const auto files = [&](const std::string& id) {
+      return listSessionFiles((base / (id + ".wal")).string());
+    };
+    // s00 (6 ops, no checkpoint): corrupt header of its only segment.
+    flipByte((base / "s00.wal").string(), 12);
+    // s03 (15 ops): torn tail, cut in the middle of the last record.
+    tear(files("s03").segments.back().path, 9);
+    // s05 (21 ops, checkpoints 1 and 2): bit-flipped newest checkpoint.
+    {
+      const std::string newest = files("s05").checkpoints.back().path;
+      flipByte(newest, fs::file_size(newest) / 2);
+    }
+    // s08 (30 ops): a crc-valid mark whose digest does not match.
+    forgeFirstMark(files("s08").segments.back().path);
+    // s11 (39 ops): torn tail and a damaged newest checkpoint together.
+    tear(files("s11").segments.back().path, 3);
+    flipByte(files("s11").checkpoints.back().path, 30);
+    return base;
+  }
+
+  static void expectSame(const RecoveryResult& inlined,
+                         const RecoveryResult& pool) {
+    EXPECT_EQ(pool.ids, inlined.ids);
+    EXPECT_EQ(pool.errors, inlined.errors);
+    EXPECT_EQ(pool.events, inlined.events);
+    EXPECT_EQ(pool.snapshots, inlined.snapshots);
+    ASSERT_EQ(pool.files.size(), inlined.files.size());
+    for (const auto& [name, bytes] : inlined.files) {
+      const auto it = pool.files.find(name);
+      ASSERT_NE(it, pool.files.end()) << name;
+      EXPECT_EQ(it->second, bytes) << name;
+    }
+  }
+};
+
+TEST_F(SessionStoreRecovery, PoolMatchesInlineUnderStrict) {
+  const fs::path base = damagedDirectory();
+  const RecoveryResult inlined = recoverCopy(base, /*salvage=*/false, 0);
+  const RecoveryResult pool = recoverCopy(base, /*salvage=*/false, 4);
+  expectSame(inlined, pool);
+
+  // The damage took: header, torn tails and the forged mark refuse their
+  // logs; the damaged checkpoint alone only degrades.
+  SCOPED_TRACE(::testing::PrintToString(inlined.events));
+  EXPECT_EQ(inlined.errors.size(), 4u);
+  EXPECT_EQ(inlined.ids.size(), 10u);
+  EXPECT_EQ(countContaining(inlined.events, "lost=1"), 4u);
+  EXPECT_EQ(countContaining(inlined.events, "fallbacks=1"), 1u);
+  EXPECT_EQ(countContaining(inlined.events, "ckpt=1"), 10u);
+}
+
+TEST_F(SessionStoreRecovery, PoolMatchesInlineUnderSalvage) {
+  const fs::path base = damagedDirectory();
+  const RecoveryResult inlined = recoverCopy(base, /*salvage=*/true, 0);
+  const RecoveryResult pool = recoverCopy(base, /*salvage=*/true, 4);
+  expectSame(inlined, pool);
+
+  // Salvage trims the tails and rolls the forged mark back; only the
+  // corrupt header leaves nothing to rebuild from.
+  SCOPED_TRACE(::testing::PrintToString(inlined.events));
+  EXPECT_EQ(inlined.errors.size(), 1u);
+  EXPECT_EQ(inlined.ids.size(), 13u);
+  EXPECT_EQ(countContaining(inlined.events, "salvaged=1"), 3u);
+  EXPECT_EQ(countContaining(inlined.events, "fallbacks=1"), 2u);
+  // Salvage rewrote files (and the pool rewrote them the same way).
+  EXPECT_NE(inlined.files, filesOf(base));
+}
+
+TEST_F(SessionStoreRecovery, CallerRecoversWhileTheOnlyWorkerIsParked) {
+  const fs::path walDir = dir_ / "wal";
+  journal(walDir, 3);
+
+  SessionStore::Options o = storeOptions(walDir, false);
+  o.executor.deterministic = false;
+  o.executor.threads = 1;
+  SessionStore store{std::move(o)};
+
+  // Park the pool's only worker in a strand task until the test lets go.
+  std::promise<void> parked;
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  const auto strand = store.executor().makeStrand();
+  strand->post([&parked, released] {
+    parked.set_value();
+    released.wait();
+  });
+  parked.get_future().wait();
+
+  // recover() must finish on the calling thread alone.  Run it aside so a
+  // regression fails here instead of hanging the suite.
+  auto recovering =
+      std::async(std::launch::async, [&store] { return store.recover(); });
+  const bool finished = recovering.wait_for(std::chrono::seconds(60)) ==
+                        std::future_status::ready;
+  release.set_value();
+  EXPECT_TRUE(finished) << "recover() waited for the parked worker";
+  EXPECT_EQ(recovering.get(), (std::vector<std::string>{"s00", "s01", "s02"}));
+  EXPECT_TRUE(store.recoverErrors().empty());
+  store.drain();  // the strand must outlive its task
 }
 
 }  // namespace

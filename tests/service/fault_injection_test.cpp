@@ -195,6 +195,63 @@ TEST_F(FaultInjectionTest, InjectedRecoveryFailureIsReportedNotFatal) {
   EXPECT_NE(report[0].detail.find("injected"), std::string::npos);
 }
 
+/// Journals one-op sessions "s1".."s<count>" into `walDir`.
+void journalSessions(const fs::path& walDir, int count) {
+  SessionStore::Options o;
+  o.executor.deterministic = true;
+  o.walDir = walDir.string();
+  SessionStore store{std::move(o)};
+  for (int k = 1; k <= count; ++k) {
+    const std::string id = "s" + std::to_string(k);
+    store.open(id, twoTeamScenario(), true);
+    store.applyOperation(id, synth(1, "ana", 1, 10.0 + k)).get();
+  }
+}
+
+TEST_F(FaultInjectionTest, PooledRecoveryFailsTheSameIdsAsInline) {
+  // store.recover hits are taken on the calling thread in id order, so a
+  // 4-worker store loses exactly the ids an inline store loses.
+  journalSessions(dir_ / "source", 9);
+  for (const bool pooled : {false, true}) {
+    SCOPED_TRACE(pooled ? "4 workers" : "inline");
+    const fs::path walDir = dir_ / (pooled ? "pool" : "inline");
+    fs::copy(dir_ / "source", walDir);
+    util::FaultRegistry::instance().reset();
+    util::FaultRegistry::instance().armFromSpec("store.recover=error:every=3");
+    SessionStore::Options o;
+    o.executor.deterministic = !pooled;
+    o.executor.threads = 4;
+    o.walDir = walDir.string();
+    SessionStore store{std::move(o)};
+    EXPECT_EQ(store.recover(), (std::vector<std::string>{"s1", "s2", "s4",
+                                                         "s5", "s7", "s8"}));
+    std::vector<std::string> lost;
+    for (const RecoveryEvent& event : store.recoverReport()) {
+      EXPECT_TRUE(event.sessionLost);
+      lost.push_back(fs::path(event.path).filename().string());
+    }
+    EXPECT_EQ(lost, (std::vector<std::string>{"s3.wal", "s6.wal", "s9.wal"}));
+    EXPECT_EQ(store.recoverErrors().size(), 3u);
+  }
+}
+
+TEST_F(FaultInjectionTest, RecoveryNeedsNoHelperWhenEveryPostFails) {
+  // Every helper post fails, so the calling thread recovers all nine
+  // sessions itself; a failed post is not a recovery error.
+  const fs::path walDir = dir_ / "rec";
+  journalSessions(walDir, 9);
+  util::FaultRegistry::instance().armFromSpec("executor.post=error:every=1");
+  SessionStore::Options o;
+  o.executor.threads = 4;
+  o.walDir = walDir.string();
+  SessionStore store{std::move(o)};
+  EXPECT_EQ(store.recover().size(), 9u);
+  EXPECT_TRUE(store.recoverErrors().empty());
+  EXPECT_EQ(util::FaultRegistry::instance().fired("executor.post"), 4u);
+  util::FaultRegistry::instance().reset();
+  EXPECT_EQ(store.snapshot("s9").get().stage, 1u);
+}
+
 TEST_F(FaultInjectionTest, ShortWriteTearsTheLogAndSalvageTrimsIt) {
   const std::string path = (dir_ / "torn.wal").string();
   SessionConfig config;
