@@ -7,6 +7,11 @@
 // choice as an ablation; the speed side of that trade-off lives here.
 #include <benchmark/benchmark.h>
 
+#include <bit>
+#include <cstdint>
+#include <memory>
+#include <optional>
+
 #include "constraint/miner.hpp"
 #include "constraint/propagate.hpp"
 #include "dpm/scenario.hpp"
@@ -153,8 +158,10 @@ BENCHMARK(BM_MineGuidance)
 // One ADPM DCM pass — Propagator::run, then HeuristicMiner::mine with its
 // what-if re-propagations — on the zoo-medium state a TeamSim session
 // reaches after 15 operations (seed 1).  A no-op unbind bumps the network
-// generation every iteration, so each pass records its revises afresh and
-// its what-ifs replay only what that pass recorded, as in a live session.
+// generation every iteration but leaves the box as it was, so each pass's
+// main run replays every revise the previous iteration's main run recorded:
+// this measures a warm pass, the floor of what the revise memo can save.
+// BM_DcmNextOp below times the pass after a real operation.
 // `evaluations_per_pass` is the charged cost, which the revise memo must not
 // change; `sweeps_per_pass` counts the expression sweeps actually run.
 void BM_DcmPass(benchmark::State& state) {
@@ -194,6 +201,83 @@ void BM_DcmPass(benchmark::State& state) {
       perPass(static_cast<double>(expr::sweepCount()));
 }
 BENCHMARK(BM_DcmPass)->Unit(benchmark::kMillisecond);
+
+/// Makes `to` hold `from`'s bindings and active constraints: the network
+/// state a DCM pass reads.
+void follow(constraint::Network& to, const constraint::Network& from) {
+  for (const auto pid : from.propertyIds()) {
+    const std::optional<double>& want = from.property(pid).value;
+    const std::optional<double>& have = to.property(pid).value;
+    if (want.has_value() == have.has_value() &&
+        (!want || std::bit_cast<std::uint64_t>(*want) ==
+                      std::bit_cast<std::uint64_t>(*have))) {
+      continue;
+    }
+    if (want) {
+      to.bind(pid, *want);
+    } else {
+      to.unbind(pid);
+    }
+  }
+  for (const auto cid : from.constraintIds()) {
+    if (from.isActive(cid) && !to.isActive(cid)) to.activate(cid);
+  }
+}
+
+// The ADPM DCM pass after a real operation.  Per iteration, with timing
+// paused, a fresh TeamSim session on zoo-medium (seed 1) is stepped to
+// operation 15 and given the bindings and generated constraints operation
+// 16 leaves; then operation 16's pass is timed.  Its main run replays the
+// revises of operation 15's main run that operation 16 left unchanged:
+// `main_hit_ratio` is the share of the main run's charged evaluations
+// replayed.  The setup costs about 15 passes, so the iteration count is
+// fixed.
+void BM_DcmNextOp(benchmark::State& state) {
+  const dpm::ScenarioSpec spec = gen::scenarioByName("zoo-medium");
+  teamsim::SimulationOptions options;
+  options.seed = 1;
+  teamsim::SimulationEngine next(spec, options);
+  for (int op = 0; op < 16 && next.step(); ++op) {
+  }
+  constraint::Propagator prop;
+  const constraint::HeuristicMiner miner;
+
+  std::unique_ptr<teamsim::SimulationEngine> engine;
+  std::uint64_t evaluations = 0;
+  std::uint64_t mainEvaluations = 0;
+  std::uint64_t mainHits = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    engine = std::make_unique<teamsim::SimulationEngine>(spec, options);
+    for (int op = 0; op < 15 && engine->step(); ++op) {
+    }
+    constraint::Network& net = engine->manager().network();
+    follow(net, next.manager().network());
+    const std::size_t evaluationsBefore = net.evaluationCount();
+    const std::uint64_t hitsBefore = net.reviseMemo().hits();
+    state.ResumeTiming();
+
+    const constraint::PropagationResult propagation = prop.run(net);
+    const std::uint64_t hitsAfterMain = net.reviseMemo().hits();
+    benchmark::DoNotOptimize(miner.mine(net, propagation));
+
+    state.PauseTiming();
+    evaluations += net.evaluationCount() - evaluationsBefore;
+    mainEvaluations += propagation.evaluations;
+    mainHits += hitsAfterMain - hitsBefore;
+    engine.reset();
+    state.ResumeTiming();
+  }
+  const double passes = static_cast<double>(state.iterations());
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+  state.counters["evaluations_per_pass"] =
+      benchmark::Counter(static_cast<double>(evaluations) / passes);
+  state.counters["main_hit_ratio"] = benchmark::Counter(
+      mainEvaluations == 0 ? 0.0
+                           : static_cast<double>(mainHits) /
+                                 static_cast<double>(mainEvaluations));
+}
+BENCHMARK(BM_DcmNextOp)->Iterations(40)->Unit(benchmark::kMillisecond);
 
 // Size sweep over the generated scenario zoo (~10 → ~6000 constraints).
 // Zoom levels are forced eager so the whole network is active and the

@@ -13,9 +13,13 @@
 #     hit, the what-if reporting steady state);
 #   * BM_PropagationFixpoint / BM_Hc4Revise — the zero-allocation hot path;
 #   * BM_DcmPass — one whole ADPM DCM pass (propagation + mining with its
-#     what-if re-propagations) on zoo-medium after 15 TeamSim operations:
-#     wall time, evaluations_per_pass (charged, must not move) and
-#     sweeps_per_pass (expression sweeps the revise memo saves);
+#     what-if re-propagations) on zoo-medium after 15 TeamSim operations,
+#     over an unchanged box (a warm pass): wall time, evaluations_per_pass
+#     (charged, must not move) and sweeps_per_pass (expression sweeps the
+#     revise memo saves);
+#   * BM_DcmNextOp — the same pass after a real operation (op 16 on the op-15
+#     state): wall time, evaluations_per_pass and main_hit_ratio (the share
+#     of the main run replayed from the previous operation's run);
 #   * BM_Recovery ops:64/640 x ckpt_every:0/48 — crash-recovery wall time
 #     and ops_replayed/segments_replayed; with checkpointing on the 640-op
 #     point must stay flat relative to the 64-op one (bounded recovery),

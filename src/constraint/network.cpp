@@ -43,13 +43,22 @@ std::uint64_t finishHash(std::uint64_t h) noexcept {
   return h ^ (h >> 33);
 }
 
+/// The index hash of a revise key: what buildIndex computes from an entry.
+std::uint64_t keyHash(ConstraintId c,
+                      std::span<const interval::Interval> before) noexcept {
+  std::uint64_t h = mixWord(0, c.value);
+  for (const interval::Interval& x : before) h = mixBits(h, bitsOf(x));
+  return finishHash(h);
+}
+
 }  // namespace
 
-/// The memo's fixed block.  Entries are 12 bytes; each holds `arity` input
-/// value ids at `ids[offset]`, followed (when narrowed) by `arity` output
-/// ids.  `values` starts with the recorded run's initial box, then one value
-/// per argument a revise actually changed.  Every member is trivially
-/// default-constructible, so constructing the block touches no page.
+/// The memo's fixed block: one half per generation.  Entries are 12 bytes;
+/// each holds `arity` input value ids at `ids[offset]`, followed (when
+/// narrowed) by `arity` output ids.  `values` starts with the recorded
+/// run's initial box, then one value per argument a revise actually
+/// changed.  Every member is trivially default-constructible, so
+/// constructing the block touches no page.
 struct ReviseMemo::Storage {
   static constexpr std::size_t kSlots = 2 * kMaxEntries;
   static constexpr std::size_t kMaxIds = 8 * kMaxEntries;
@@ -64,11 +73,14 @@ struct ReviseMemo::Storage {
   };
   static_assert(sizeof(Entry) == 12);
 
-  Entry entries[kMaxEntries];
-  /// Open-addressing index: entry index + 1, 0 = empty.
-  std::uint32_t slots[kSlots];
-  std::uint32_t ids[kMaxIds];
-  Bits values[kMaxValues];
+  struct Half {
+    Entry entries[kMaxEntries];
+    /// Open-addressing index: entry index + 1, 0 = empty.
+    std::uint32_t slots[kSlots];
+    std::uint32_t ids[kMaxIds];
+    Bits values[kMaxValues];
+  };
+  Half half[2];
 };
 
 void ReviseMemo::Unmap::operator()(Storage* s) const noexcept {
@@ -78,12 +90,12 @@ void ReviseMemo::Unmap::operator()(Storage* s) const noexcept {
 
 ReviseMemo::ReviseMemo(ReviseMemo&& other) noexcept
     : storage_(std::move(other.storage_)),
-      current_(std::move(other.current_)),
+      valueIds_(std::move(other.valueIds_)),
       state_(std::exchange(other.state_, State{})) {}
 
 ReviseMemo& ReviseMemo::operator=(ReviseMemo&& other) noexcept {
   storage_ = std::move(other.storage_);
-  current_ = std::move(other.current_);
+  valueIds_ = std::move(other.valueIds_);
   state_ = std::exchange(other.state_, State{});
   return *this;
 }
@@ -94,8 +106,12 @@ std::size_t ReviseMemo::mappedBytes() const noexcept {
 
 bool ReviseMemo::beginRecording(std::uint64_t generation,
                                 std::span<const interval::Interval> box) {
-  if (generation == state_.generation) return false;
-  state_ = State{.generation = generation, .hits = state_.hits};
+  if (generation == state_.half[state_.current].generation) return false;
+  // The current generation becomes the previous one, frozen with its
+  // index; the older one is dropped.
+  state_.current ^= 1;
+  Fill& fill = state_.half[state_.current];
+  fill = Fill{.generation = generation};
   if (!storage_) {
     void* block = ::mmap(nullptr, sizeof(Storage), PROT_READ | PROT_WRITE,
                          MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
@@ -103,83 +119,85 @@ bool ReviseMemo::beginRecording(std::uint64_t generation,
     storage_.reset(new (block) Storage);
   }
   if (box.size() > Storage::kMaxValues) return false;
-  current_.resize(box.size());
+  Storage::Half& h = storage_->half[state_.current];
+  valueIds_.resize(box.size());
   for (std::size_t i = 0; i < box.size(); ++i) {
-    storage_->values[i] = bitsOf(box[i]);
-    current_[i] = static_cast<std::uint32_t>(i);
+    h.values[i] = bitsOf(box[i]);
+    valueIds_[i] = static_cast<std::uint32_t>(i);
   }
-  state_.values = box.size();
-  state_.recording = true;
+  fill.values = box.size();
+  fill.recording = true;
   return true;
 }
 
 void ReviseMemo::record(ConstraintId c, const Outcome& outcome,
                         std::span<const PropertyId> args,
                         std::span<const interval::Interval> box) {
-  if (!state_.recording) return;
-  Storage& s = *storage_;
+  Fill& fill = state_.half[state_.current];
+  if (!fill.recording) return;
+  Storage::Half& h = storage_->half[state_.current];
   const std::size_t arity = args.size();
-  if (state_.entries == kMaxEntries ||
-      state_.ids + 2 * arity > Storage::kMaxIds ||
-      state_.values + arity > Storage::kMaxValues) {
-    state_.recording = false;
+  if (fill.entries == kMaxEntries || fill.ids + 2 * arity > Storage::kMaxIds ||
+      fill.values + arity > Storage::kMaxValues) {
+    fill.recording = false;
     return;
   }
-  s.entries[state_.entries++] = Storage::Entry{
-      c.value, static_cast<std::uint32_t>(state_.ids),
+  h.entries[fill.entries++] = Storage::Entry{
+      c.value, static_cast<std::uint32_t>(fill.ids),
       static_cast<std::uint16_t>(arity),
       static_cast<std::uint8_t>((outcome.feasible ? kFeasible : 0) |
                                 (outcome.narrowed ? kNarrowed : 0)),
       outcome.status};
-  for (const PropertyId a : args) s.ids[state_.ids++] = current_[a.value];
+  for (const PropertyId a : args) h.ids[fill.ids++] = valueIds_[a.value];
   if (!outcome.narrowed) return;
   for (const PropertyId a : args) {
     const Bits after = bitsOf(box[a.value]);
-    if (!(after == s.values[current_[a.value]])) {
-      s.values[state_.values] = after;
-      current_[a.value] = static_cast<std::uint32_t>(state_.values++);
+    if (!(after == h.values[valueIds_[a.value]])) {
+      h.values[fill.values] = after;
+      valueIds_[a.value] = static_cast<std::uint32_t>(fill.values++);
     }
-    s.ids[state_.ids++] = current_[a.value];
+    h.ids[fill.ids++] = valueIds_[a.value];
   }
 }
 
-void ReviseMemo::buildIndex() {
-  Storage& s = *storage_;
+void ReviseMemo::buildIndex(std::size_t half) {
+  Fill& fill = state_.half[half];
+  Storage::Half& h = storage_->half[half];
   std::size_t size = 64;
-  while (size < 2 * state_.entries) size *= 2;
-  std::fill_n(s.slots, size, 0u);
+  while (size < 2 * fill.entries) size *= 2;
+  std::fill_n(h.slots, size, 0u);
   const std::size_t mask = size - 1;
-  for (std::size_t i = 0; i < state_.entries; ++i) {
-    const Storage::Entry& e = s.entries[i];
-    std::uint64_t h = mixWord(0, e.constraint);
+  for (std::size_t i = 0; i < fill.entries; ++i) {
+    const Storage::Entry& e = h.entries[i];
+    std::uint64_t hash = mixWord(0, e.constraint);
     for (std::size_t k = 0; k < e.arity; ++k) {
-      h = mixBits(h, s.values[s.ids[e.offset + k]]);
+      hash = mixBits(hash, h.values[h.ids[e.offset + k]]);
     }
-    std::size_t slot = finishHash(h) & mask;
-    while (s.slots[slot] != 0) slot = (slot + 1) & mask;
-    s.slots[slot] = static_cast<std::uint32_t>(i + 1);
+    std::size_t slot = finishHash(hash) & mask;
+    while (h.slots[slot] != 0) slot = (slot + 1) & mask;
+    h.slots[slot] = static_cast<std::uint32_t>(i + 1);
   }
-  state_.indexed = state_.entries;
-  state_.slots = size;
+  fill.indexed = fill.entries;
+  fill.slots = size;
 }
 
-std::optional<ReviseMemo::Outcome> ReviseMemo::replay(
-    ConstraintId c, std::span<const interval::Interval> before,
+std::optional<ReviseMemo::Outcome> ReviseMemo::find(
+    std::size_t half, std::uint64_t hash, ConstraintId c,
+    std::span<const interval::Interval> before,
     std::span<const PropertyId> args, std::span<interval::Interval> box) {
-  if (state_.entries == 0) return std::nullopt;
-  if (state_.indexed != state_.entries) buildIndex();
-  const Storage& s = *storage_;
-  std::uint64_t h = mixWord(0, c.value);
-  for (const interval::Interval& x : before) h = mixBits(h, bitsOf(x));
-  const std::size_t mask = state_.slots - 1;
-  for (std::size_t slot = finishHash(h) & mask; s.slots[slot] != 0;
+  const Fill& fill = state_.half[half];
+  if (fill.entries == 0) return std::nullopt;
+  if (fill.indexed != fill.entries) buildIndex(half);
+  const Storage::Half& h = storage_->half[half];
+  const std::size_t mask = fill.slots - 1;
+  for (std::size_t slot = hash & mask; h.slots[slot] != 0;
        slot = (slot + 1) & mask) {
-    const Storage::Entry& e = s.entries[s.slots[slot] - 1];
+    const Storage::Entry& e = h.entries[h.slots[slot] - 1];
     if (e.constraint != c.value) continue;
-    const std::uint32_t* in = s.ids + e.offset;
+    const std::uint32_t* in = h.ids + e.offset;
     bool same = true;
     for (std::size_t k = 0; same && k < before.size(); ++k) {
-      same = s.values[in[k]] == bitsOf(before[k]);
+      same = h.values[in[k]] == bitsOf(before[k]);
     }
     if (!same) continue;
     ++state_.hits;
@@ -189,12 +207,31 @@ std::optional<ReviseMemo::Outcome> ReviseMemo::replay(
       const std::uint32_t* after = in + e.arity;
       for (std::size_t k = 0; k < args.size(); ++k) {
         box[args[k].value] =
-            std::bit_cast<interval::Interval>(s.values[after[k]]);
+            std::bit_cast<interval::Interval>(h.values[after[k]]);
       }
     }
     return out;
   }
   return std::nullopt;
+}
+
+std::optional<ReviseMemo::Outcome> ReviseMemo::replay(
+    ConstraintId c, std::span<const interval::Interval> before,
+    std::span<const PropertyId> args, std::span<interval::Interval> box) {
+  if (empty()) return std::nullopt;
+  const std::uint64_t hash = keyHash(c, before);
+  std::optional<Outcome> out =
+      find(state_.current, hash, c, before, args, box);
+  if (!out) out = find(state_.current ^ 1, hash, c, before, args, box);
+  return out;
+}
+
+std::optional<ReviseMemo::Outcome> ReviseMemo::replayPrevious(
+    ConstraintId c, std::span<const interval::Interval> before,
+    std::span<const PropertyId> args, std::span<interval::Interval> box) {
+  const std::size_t previous = state_.current ^ 1;
+  if (state_.half[previous].entries == 0) return std::nullopt;
+  return find(previous, keyHash(c, before), c, before, args, box);
 }
 
 PropertyId Network::addProperty(PropertySpec spec) {

@@ -29,26 +29,31 @@ namespace adpm::constraint {
 /// A revise (forward sweep, toleranced target, HC4 revise, classify) is a
 /// pure function of the constraint and the bit patterns of its argument
 /// intervals, so an entry keyed on exactly those bits can never go stale:
-/// the expressions and targets never change.  The main propagation
-/// (`Propagator::run`) records each revise it computes; the what-if runs
-/// (`Propagator::runRelaxed`) replay revises found here and compute only the
-/// misses, and never record.  A hit still counts as one revise, so the
-/// revise sequence, the sweep boundaries and every charged evaluation are
-/// the ones a memo-less run produces.  Keys compare bit for bit: -0.0 and
-/// +0.0 are different keys.
+/// the expressions and targets never change.  A hit still counts as one
+/// revise, so the revise sequence, the sweep boundaries and every charged
+/// evaluation are the ones a memo-less run produces.  Keys compare bit for
+/// bit: -0.0 and +0.0 are different keys.
 ///
-/// The first main run of a new network generation clears the memo and
-/// records; later runs at that generation leave it alone.  Recording only
-/// appends; the hash index is built on the first lookup after a recording,
-/// so a pass with no what-if pays for the appends only.
+/// The memo keeps two generations: the one being recorded (current) and
+/// the one before it (previous).  The first main run (`Propagator::run`) of
+/// a new network generation makes the current generation the previous one,
+/// clears the other and records every revise into it, replaying hits from
+/// the previous generation as it goes: most of an operation's pass repeats
+/// the last operation's pass bit for bit.  Later main runs at that
+/// generation and the what-if runs (`Propagator::runRelaxed`) record
+/// nothing and replay hits from the current generation, then the previous
+/// one.  Recording only appends; a generation's hash index is built on its
+/// first lookup after a recording, so a frozen previous generation is
+/// indexed at most once and a pass with no lookup into its own generation
+/// pays for the appends only.
 ///
-/// Storage is one fixed block (ARCHITECTURE §4b) mapped straight from the
-/// operating system on the first recording and reused by every later
-/// generation: its size is a compile-time bound, untouched pages cost no
-/// memory, and a closed session returns its pages instead of leaving a hole
-/// in the malloc arena of whichever pool thread grew it.  Argument intervals
-/// are stored once per distinct value the run produced and referenced by
-/// 4-byte ids, about 50 B per entry in all.
+/// Storage is one fixed block (ARCHITECTURE §4b) holding both generations,
+/// mapped straight from the operating system on the first recording and
+/// reused by every later generation: its size is a compile-time bound,
+/// untouched pages cost no memory, and a closed session returns its pages
+/// instead of leaving a hole in the malloc arena of whichever pool thread
+/// grew it.  Argument intervals are stored once per distinct value a run
+/// produced and referenced by 4-byte ids, about 50 B per entry in all.
 class ReviseMemo {
  public:
   /// Revises recorded per generation at most.  Recording also stops when
@@ -70,30 +75,44 @@ class ReviseMemo {
   ReviseMemo(ReviseMemo&& other) noexcept;
   ReviseMemo& operator=(ReviseMemo&& other) noexcept;
 
-  /// Starts the main run of `generation` over `box`: clears the memo when
-  /// it holds another generation's revises and returns true when the run
-  /// should record; false when this generation was already recorded (or no
-  /// storage could be mapped).
+  /// Starts the main run of `generation` over `box`: when the memo's
+  /// current generation is another one, makes it the previous generation,
+  /// clears the other half for `generation` and returns true (the run
+  /// should record).  Returns false when this generation was already
+  /// recorded (or no storage could be mapped).
   bool beginRecording(std::uint64_t generation,
                       std::span<const interval::Interval> box);
 
-  /// Appends one computed revise of `c` over `args`; `box` is the run's box
-  /// after the revise.  Ignored once the memo is full.
+  /// Appends one revise of `c` over `args` to the current generation, hits
+  /// replayed by the recording run included; `box` is the run's box after
+  /// the revise.  Ignored once the generation is full.
   void record(ConstraintId c, const Outcome& outcome,
               std::span<const PropertyId> args,
               std::span<const interval::Interval> box);
 
   /// Looks up the revise of `c` over exactly the argument intervals
-  /// `before`.  On a hit, writes the recorded narrowing of `args` into `box`
-  /// and returns the recorded outcome.
+  /// `before`, in the current generation and then the previous one.  On a
+  /// hit, writes the recorded narrowing of `args` into `box` and returns
+  /// the recorded outcome.
   std::optional<Outcome> replay(ConstraintId c,
                                 std::span<const interval::Interval> before,
                                 std::span<const PropertyId> args,
                                 std::span<interval::Interval> box);
 
+  /// As replay(), but in the previous generation only: the lookup of a
+  /// recording run, whose own generation is still incomplete.
+  std::optional<Outcome> replayPrevious(
+      ConstraintId c, std::span<const interval::Interval> before,
+      std::span<const PropertyId> args, std::span<interval::Interval> box);
+
   /// Revises recorded at the current generation.
-  std::size_t size() const noexcept { return state_.entries; }
-  bool empty() const noexcept { return state_.entries == 0; }
+  std::size_t size() const noexcept {
+    return state_.half[state_.current].entries;
+  }
+  /// Neither generation holds a revise.
+  bool empty() const noexcept {
+    return state_.half[0].entries == 0 && state_.half[1].entries == 0;
+  }
   /// Bytes of address space reserved for storage; 0 before the first
   /// recording.  Only the pages written are resident.
   std::size_t mappedBytes() const noexcept;
@@ -105,7 +124,8 @@ class ReviseMemo {
   struct Unmap {
     void operator()(Storage* s) const noexcept;
   };
-  struct State {
+  /// One generation's fill counters; its arrays are a half of Storage.
+  struct Fill {
     std::uint64_t generation = std::numeric_limits<std::uint64_t>::max();
     /// Room left: cleared when an array fills, so entries stay a prefix.
     bool recording = false;
@@ -115,14 +135,24 @@ class ReviseMemo {
     /// Entries covered by the index, and the index's slot count.
     std::size_t indexed = 0;
     std::size_t slots = 0;
+  };
+  struct State {
+    Fill half[2];
+    /// The half being recorded (or last recorded); the other is previous.
+    std::size_t current = 0;
     std::uint64_t hits = 0;
   };
 
-  void buildIndex();
+  std::optional<Outcome> find(std::size_t half, std::uint64_t hash,
+                              ConstraintId c,
+                              std::span<const interval::Interval> before,
+                              std::span<const PropertyId> args,
+                              std::span<interval::Interval> box);
+  void buildIndex(std::size_t half);
 
   std::unique_ptr<Storage, Unmap> storage_;
   /// While recording: the value id of each property's current interval.
-  std::vector<std::uint32_t> current_;
+  std::vector<std::uint32_t> valueIds_;
   State state_;
 };
 

@@ -142,7 +142,7 @@ PropagationResult Propagator::runOnBoxFast(Network& net,
   ReviseMemo& memo = net.reviseMemo();
   const bool record = memoUse == MemoUse::Record &&
                       memo.beginRecording(net.generation(), box);
-  const bool replay = memoUse == MemoUse::Replay && !memo.empty();
+  const bool replay = !memo.empty();
 
   // FIFO queue: vector + head cursor.  Entries are appended at the tail and
   // consumed at the head; the backing storage is recycled across runs.  The
@@ -184,17 +184,20 @@ PropagationResult Propagator::runOnBoxFast(Network& net,
     for (PropertyId arg : c.arguments()) s.before.push_back(box[arg.value]);
 
     // A memo hit replays the revise's recorded effect on the box; a miss
-    // computes it (and the main run records it).  Either way it is one
-    // revise.
+    // computes it.  A recording run looks up the previous generation only
+    // and records hits and misses alike, so its own generation holds the
+    // whole run.  Either way it is one revise.
     std::optional<ReviseMemo::Outcome> outcome;
-    if (replay) outcome = memo.replay(cid, s.before, c.arguments(), box);
+    if (replay) {
+      outcome = record
+                    ? memo.replayPrevious(cid, s.before, c.arguments(), box)
+                    : memo.replay(cid, s.before, c.arguments(), box);
+    }
 #ifdef ADPM_DEBUG_CHECKS
     if (outcome) checkMemoHit(c, s.before, box, *outcome);
 #endif
-    if (!outcome) {
-      outcome = revise(c, box);
-      if (record) memo.record(cid, *outcome, c.arguments(), box);
-    }
+    if (!outcome) outcome = revise(c, box);
+    if (record) memo.record(cid, *outcome, c.arguments(), box);
     ++revises;
 
     result.status[cid.value] = outcome->status;

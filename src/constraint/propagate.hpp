@@ -80,7 +80,9 @@ class Propagator {
   /// Runs propagation over the network's current box.  Does not modify any
   /// property binding; evaluation cost is charged to the network.  The
   /// first run at a network generation records its revises in the
-  /// network's ReviseMemo (not in referenceMode).
+  /// network's ReviseMemo, replaying those the previous generation's run
+  /// recorded; later runs at that generation replay like runRelaxed (not
+  /// in referenceMode).
   PropagationResult run(Network& net) const;
 
   /// "What-if" feasible subspace: the values property `p` could be rebound

@@ -147,6 +147,12 @@ class Session {
 
   const SegmentedLog* log() const noexcept { return log_.get(); }
 
+  /// Attaches the (already positioned) log the session journals to from
+  /// now on, before any operation is applied: SessionStore::open() builds
+  /// the session without a log outside its lock, and recovery attaches one
+  /// once the replay is complete.
+  void attachLog(std::unique_ptr<SegmentedLog> log) { log_ = std::move(log); }
+
   /// Writes a durable state checkpoint at the current stage (no-op without
   /// a log).  Called automatically every `checkpointEvery` operations;
   /// exposed for drivers that checkpoint at their own boundaries.  Throws
@@ -163,10 +169,6 @@ class Session {
                                                  Options options,
                                                  RecoveryPolicy policy,
                                                  SalvageOutcome* outcome);
-
-  /// Attaches the (already positioned) log a recovered session continues
-  /// appending to; recovery only, after the replay is complete.
-  void attachLog(std::unique_ptr<SegmentedLog> log) { log_ = std::move(log); }
 
   dpm::DesignProcessManager::ExecResult applyImpl(dpm::Operation op,
                                                   bool journal);

@@ -129,6 +129,13 @@ void SessionStore::open(const std::string& id, const dpm::ScenarioSpec& spec,
   // also pins the exact spec replay will instantiate.
   config.scenarioDddl = dddl::write(spec);
 
+  // Instantiating the scenario and its bootstrap DCM pass run before the
+  // lock: every command on every session looks its entry up under mutex_,
+  // so building a large session inside it would stall them all.  A
+  // duplicate open() therefore wastes one construction, on an error path.
+  auto session = std::make_unique<Session>(std::move(config), spec, nullptr,
+                                           options_.session);
+
   // One critical section covers the duplicate-id check, the WAL-exists
   // check, the header write, and the map insertion: two racing open("x")
   // calls must not both write a header (OperationLog::read rejects a
@@ -137,7 +144,6 @@ void SessionStore::open(const std::string& id, const dpm::ScenarioSpec& spec,
   if (sessions_.contains(id)) {
     throw adpm::InvalidArgumentError("session '" + id + "' already open");
   }
-  std::unique_ptr<SegmentedLog> log;
   if (!options_.walDir.empty()) {
     const std::string path = walPathOf(id);
     const SessionFiles existing = listSessionFiles(path);
@@ -154,10 +160,10 @@ void SessionStore::open(const std::string& id, const dpm::ScenarioSpec& spec,
     logOptions.sync = options_.session.walSync;
     logOptions.segmentBytes = options_.session.segmentBytes;
     logOptions.segmentOps = options_.session.segmentOps;
-    log = std::make_unique<SegmentedLog>(path, config, logOptions);
+    session->attachLog(
+        std::make_unique<SegmentedLog>(path, session->config(), logOptions));
   }
-  adoptLocked(id, std::make_unique<Session>(std::move(config), spec,
-                                            std::move(log), options_.session));
+  adoptLocked(id, std::move(session));
 }
 
 std::vector<std::string> SessionStore::recover() {

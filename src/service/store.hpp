@@ -115,7 +115,9 @@ class SessionStore {
   /// filesystem-safe ([A-Za-z0-9._-]).  Throws on duplicates, and on ids
   /// whose WAL file already exists (close() keeps logs, crashes leave them;
   /// appending a second header would corrupt the log — recover() it or
-  /// remove the file first).
+  /// remove the file first).  The session is built (scenario instantiation
+  /// and bootstrap DCM pass) before the store lock is taken, so a slow open
+  /// does not stall commands on other sessions.
   void open(const std::string& id, const dpm::ScenarioSpec& spec, bool adpm);
 
   /// Rebuilds every session found in walDir — discovered from any of its

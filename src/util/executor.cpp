@@ -112,7 +112,11 @@ void Executor::Strand::post(std::function<void()> task) {
         drainHere = true;  // nested posts land in the outer drain loop
       }
     }
-    if (drainHere) drainInline();
+    if (drainHere) {
+      // A task may drop the owner's last reference to this strand.
+      const std::shared_ptr<Strand> self = shared_from_this();
+      drainInline();
+    }
     return;
   }
 
@@ -138,8 +142,10 @@ void Executor::Strand::post(std::function<void()> task) {
     {
       LockGuard lock(executor_.mutex_);
       // Internal dispatch: runs one strand task per pool slot; not counted
-      // as a task itself (pending_ tracks user tasks only).
-      executor_.queue_.push_back([this] { runOne(); });
+      // as a task itself (pending_ tracks user tasks only).  It holds the
+      // strand alive until it has run.
+      executor_.queue_.push_back(
+          [self = shared_from_this()] { self->runOne(); });
     }
     executor_.wake_.notify_one();
   }
@@ -156,8 +162,9 @@ void Executor::Strand::runOne() {
   task();
 
   // Reschedule (or go idle) *before* retiring the task from the executor's
-  // pending count: once pending_ hits 0 a drain()ing owner may destroy this
-  // strand, so no strand state may be touched after finishOne().
+  // pending count: once pending_ hits 0 a drain()ing owner goes on, and must
+  // find the strand settled.  The strand object itself outlives this call:
+  // the dispatch holds it.
   bool reschedule = false;
   {
     LockGuard lock(mutex_);
@@ -170,7 +177,8 @@ void Executor::Strand::runOne() {
   if (reschedule) {
     {
       LockGuard lock(executor_.mutex_);
-      executor_.queue_.push_back([this] { runOne(); });
+      executor_.queue_.push_back(
+          [self = shared_from_this()] { self->runOne(); });
     }
     executor_.wake_.notify_one();
   }

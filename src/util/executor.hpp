@@ -54,9 +54,11 @@ class Executor {
   unsigned workerCount() const noexcept { return workerCount_; }
   bool deterministic() const noexcept { return options_.deterministic; }
 
-  /// Serialized task queue over this executor.  Thread-safe; keep alive via
-  /// shared_ptr at least until its last task has run.
-  class Strand {
+  /// Serialized task queue over this executor.  Thread-safe.  Owned by
+  /// shared_ptr; a pending dispatch holds a reference of its own, so the
+  /// owner may drop its last one at any time, even from a task running on
+  /// the strand: queued tasks still run.
+  class Strand : public std::enable_shared_from_this<Strand> {
    public:
     /// Enqueues a task; tasks on one strand never run concurrently and run
     /// in post order.

@@ -5,13 +5,16 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <filesystem>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "dpm/scenario.hpp"
+#include "gen/registry.hpp"
 #include "util/error.hpp"
 
 namespace adpm::service {
@@ -248,6 +251,50 @@ TEST(SessionStore, VolatileStoreHasNoLog) {
   EXPECT_TRUE(store.recover().empty());
   store.applyOperation("s", synth(1, "ana", 1, 30.0)).get();
   EXPECT_EQ(store.snapshot("s").get().stage, 1u);
+}
+
+TEST(SessionStore, CommandsRunWhileAnotherSessionIsBeingBuilt) {
+  // open() instantiates the scenario and runs its bootstrap DCM pass before
+  // it takes the store lock, which every command takes to find its session.
+  // So commands on an open session keep completing while a slow open runs,
+  // in the second half of it too.  Were the session built under the lock
+  // (taken right after the scenario's DDDL is written, early in the open),
+  // no command could complete there.
+  SessionStore::Options o;
+  o.executor.threads = 2;
+  SessionStore store{std::move(o)};
+  store.open("fast", twoTeamScenario(), true);
+  const dpm::ScenarioSpec large = gen::scenarioByName("zoo-large");
+
+  using Clock = std::chrono::steady_clock;
+  Clock::time_point begin;
+  Clock::time_point end;
+  std::atomic<bool> opened{false};
+  std::thread opener([&] {
+    begin = Clock::now();
+    store.open("slow", large, true);
+    end = Clock::now();
+    opened = true;
+  });
+  std::vector<std::pair<Clock::time_point, Clock::time_point>> commands;
+  while (!opened.load()) {
+    const Clock::time_point sent = Clock::now();
+    store.queryGuidance("fast").get();
+    commands.emplace_back(sent, Clock::now());
+  }
+  opener.join();
+  EXPECT_TRUE(store.has("slow"));
+
+  const Clock::time_point secondHalf = begin + (end - begin) / 2;
+  std::size_t during = 0;
+  for (const auto& [sent, done] : commands) {
+    if (sent >= secondHalf && done <= end) ++during;
+  }
+  EXPECT_GT(during, 0u) << commands.size() << " commands during a "
+                        << std::chrono::duration<double, std::milli>(
+                               end - begin)
+                               .count()
+                        << " ms open";
 }
 
 }  // namespace

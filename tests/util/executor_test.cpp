@@ -6,6 +6,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <functional>
+#include <future>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -218,6 +219,40 @@ TEST(Executor, DrainIsReusable) {
   ex.post([&] { ran.fetch_add(1); });
   ex.drain();
   EXPECT_EQ(ran.load(), 2);
+}
+
+TEST(Executor, StrandOutlivesTheLastReferenceDroppedByItsOwnTask) {
+  // The owner's only reference dies inside the strand's running task while
+  // another task waits behind it.  The pending dispatch holds the strand,
+  // so the queued task still runs and nothing touches freed memory.
+  Executor ex(Executor::Options{.threads = 1});
+  auto strand = ex.makeStrand();
+  std::promise<void> queued;
+  std::future<void> behind = queued.get_future();
+  std::atomic<int> ran{0};
+  strand->post([&] {
+    behind.wait();
+    strand.reset();
+    ran.fetch_add(1);
+  });
+  strand->post([&] { ran.fetch_add(1); });
+  queued.set_value();
+  ex.drain();
+  EXPECT_EQ(ran.load(), 2);
+  EXPECT_EQ(strand, nullptr);
+}
+
+TEST(Executor, DeterministicStrandOutlivesTheLastReferenceDroppedByItsOwnTask) {
+  Executor ex(Executor::Options{.deterministic = true});
+  auto strand = ex.makeStrand();
+  std::vector<int> order;
+  strand->post([&] {
+    strand->post([&] { order.push_back(1); });  // queued behind this task
+    strand.reset();
+    order.push_back(0);
+  });
+  EXPECT_EQ(order, (std::vector<int>{0, 1}));
+  EXPECT_EQ(strand, nullptr);
 }
 
 }  // namespace
