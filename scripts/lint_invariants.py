@@ -15,6 +15,10 @@ Rules (each scoped to src/ unless noted):
   std-mutex      std::mutex-family types appear only inside
                  util/thread_annotations.hpp; raw primitives are invisible
                  to Clang's thread-safety analysis.
+  number-codec   strtod/stod/snprintf appear only in the shared double
+                 codec (util/number) and the allowlisted non-double users,
+                 so no module grows a second double encoder or decoder
+                 that could render the same state differently.
 
 Matching happens on comment- and string-stripped source (except the
 failpoint scan, which reads names out of string literals), so prose
@@ -72,6 +76,18 @@ STD_MUTEX_RE = re.compile(
     r"(?:_any)?)\b"
 )
 STD_MUTEX_ALLOW = {"util/thread_annotations.hpp"}
+
+# Text <-> number primitives and the files allowed to use them: the double
+# codec, plus users that never encode a double for a machine to read back
+# (hex digests, \u escapes, report formatting, failpoint specs).
+NUMBER_CODEC_RE = re.compile(r"(?:\bstd::|::)?\b(?:strtod|stod|snprintf)\s*\(")
+NUMBER_CODEC_ALLOW = {
+    "util/number.cpp",
+    "util/strings.cpp",
+    "util/json.cpp",
+    "gen/stats.cpp",
+    "util/fault.cpp",
+}
 
 FAULT_POINT_RE = re.compile(r'ADPM_FAULT_POINT\(\s*"([^"]+)"\s*\)')
 # Names in the FAILPOINTS.md table: a backticked name in the first column.
@@ -177,6 +193,10 @@ def main() -> int:
         """service/wal.cpp, service/session.cpp (salvage), and net/"""
         return name in RAW_IO_ALLOW_FILES or name.startswith(RAW_IO_ALLOW_DIRS)
 
+    def number_allowed(name: str) -> bool:
+        """util/number.cpp and the non-double users in NUMBER_CODEC_ALLOW"""
+        return name in NUMBER_CODEC_ALLOW
+
     def mutex_allowed(name: str) -> bool:
         """util/thread_annotations.hpp (the annotated wrappers)"""
         return name in STD_MUTEX_ALLOW
@@ -191,6 +211,9 @@ def main() -> int:
     findings += check_token_rule(files, "canonical-json", json_re, json_allowed)
     findings += check_token_rule(files, "raw-io", raw_io_re, raw_io_allowed)
     findings += check_token_rule(files, "std-mutex", STD_MUTEX_RE, mutex_allowed)
+    findings += check_token_rule(
+        files, "number-codec", NUMBER_CODEC_RE, number_allowed
+    )
 
     for f in findings:
         print(f)

@@ -1,9 +1,10 @@
 #include "dddl/lexer.hpp"
 
 #include <cctype>
-#include <charconv>
+#include <optional>
 
 #include "util/error.hpp"
+#include "util/number.hpp"
 
 namespace adpm::dddl {
 
@@ -128,14 +129,12 @@ std::vector<Token> lex(std::string_view source) {
                (text.ends_with('e') || text.ends_with('E'))))) {
         text += cur.advance();
       }
-      double value = 0.0;
-      const auto [ptr, ec] =
-          std::from_chars(text.data(), text.data() + text.size(), value);
-      if (ec != std::errc{} || ptr != text.data() + text.size()) {
+      const std::optional<double> value = util::parseDouble(text);
+      if (!value) {
         throw adpm::ParseError("malformed number '" + text + "'", line,
                                column);
       }
-      push(TokenKind::Number, line, column, {}, value);
+      push(TokenKind::Number, line, column, {}, *value);
       continue;
     }
 

@@ -1,10 +1,10 @@
 #include "dpm/state_io.hpp"
 
-#include <cstdio>
-#include <cstdlib>
+#include <optional>
 #include <utility>
 
 #include "util/error.hpp"
+#include "util/number.hpp"
 
 namespace adpm::dpm {
 namespace {
@@ -13,24 +13,18 @@ using util::json::Array;
 using util::json::Object;
 using util::json::Value;
 
-// %.17g round-trips every double; unlike json::formatNumber this accepts
+// 17 digits round-trip every double; unlike json::formatNumber this accepts
 // ±inf (Interval bounds are often infinite) because the result lands in a
 // JSON *string*, never a JSON number.
-std::string encodeDouble(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
-}
+std::string encodeDouble(double v) { return util::formatDouble(v); }
 
 double decodeDouble(const Value& v) {
   const std::string& s = v.asString();
-  const char* c = s.c_str();
-  char* end = nullptr;
-  const double parsed = std::strtod(c, &end);
-  if (end != c + s.size() || s.empty()) {
+  const std::optional<double> parsed = util::parseDouble(s);
+  if (!parsed) {
     throw adpm::InvalidArgumentError("state: bad double '" + s + "'");
   }
-  return parsed;
+  return *parsed;
 }
 
 std::size_t decodeSize(const Value& v) {

@@ -2,10 +2,11 @@
 //
 // Builds/consumes util::json Values only; serialization to bytes stays in
 // the WAL layer (the canonical-JSON discipline lives there).  All doubles
-// are encoded as %.17g *strings*, not JSON numbers: Interval and Domain
-// bounds can be ±inf, which the canonical serializer (correctly) refuses as
-// JSON numbers, and the string form round-trips every IEEE-754 double
-// bit-exactly via strtod.
+// are encoded as *strings* by the shared double codec (util/number.hpp, 17
+// significant digits), not as JSON numbers: Interval and Domain bounds can
+// be ±inf, which the canonical serializer (correctly) refuses as JSON
+// numbers, and the string form round-trips every IEEE-754 double
+// bit-exactly through util::parseDouble.
 #pragma once
 
 #include "dpm/manager.hpp"

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 
 #include "util/error.hpp"
+#include "util/number.hpp"
 
 namespace adpm::interval {
 
@@ -117,18 +117,22 @@ double Domain::nearest(double v) const {
 }
 
 std::string Domain::str(int digits) const {
-  if (discrete_) {
-    std::ostringstream out;
-    out.precision(digits);
-    out << "{";
-    for (std::size_t i = 0; i < discrete_->size(); ++i) {
-      if (i) out << ", ";
-      out << (*discrete_)[i];
-    }
-    out << "}";
-    return out.str();
+  std::string out;
+  appendTo(out, digits);
+  return out;
+}
+
+void Domain::appendTo(std::string& out, int digits) const {
+  if (!discrete_) {
+    range_.appendTo(out, digits);
+    return;
   }
-  return range_.str(digits);
+  out += '{';
+  for (std::size_t i = 0; i < discrete_->size(); ++i) {
+    if (i) out += ", ";
+    util::appendDouble(out, (*discrete_)[i], digits);
+  }
+  out += '}';
 }
 
 bool Domain::operator==(const Domain& other) const noexcept {

@@ -67,7 +67,10 @@ class Domain {
   /// Nearest domain value to `v`; must not be empty.
   double nearest(double v) const;
 
+  /// "{a, b, c}" for a discrete domain, Interval::str for a continuous one;
+  /// appendTo writes it in place.
   std::string str(int digits = 6) const;
+  void appendTo(std::string& out, int digits = 6) const;
 
   bool operator==(const Domain& other) const noexcept;
 

@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
+
+#include "util/number.hpp"
 
 namespace adpm::interval {
 
@@ -50,11 +51,21 @@ Interval Interval::inflate(double rel, double abs_) const noexcept {
 }
 
 std::string Interval::str(int digits) const {
-  if (empty()) return "{}";
-  std::ostringstream out;
-  out.precision(digits);
-  out << "[" << lo_ << ", " << hi_ << "]";
-  return out.str();
+  std::string out;
+  appendTo(out, digits);
+  return out;
+}
+
+void Interval::appendTo(std::string& out, int digits) const {
+  if (empty()) {
+    out += "{}";
+    return;
+  }
+  out += '[';
+  util::appendDouble(out, lo_, digits);
+  out += ", ";
+  util::appendDouble(out, hi_, digits);
+  out += ']';
 }
 
 Interval intersect(const Interval& a, const Interval& b) noexcept {

@@ -86,7 +86,10 @@ class Interval {
   /// Widens each finite bound outward by max(rel*|bound|, abs_).
   Interval inflate(double rel, double abs_) const noexcept;
 
+  /// "[lo, hi]" with bounds as printf("%.*g", digits) renders them (util's
+  /// double codec); "{}" when empty.  appendTo writes it in place.
   std::string str(int digits = 6) const;
+  void appendTo(std::string& out, int digits = 6) const;
 
  private:
   static constexpr Interval empty_() noexcept {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 
 #include "util/error.hpp"
 
@@ -93,12 +92,12 @@ Interval IntervalSet::nearestPiece(double v) const {
 
 std::string IntervalSet::str(int digits) const {
   if (pieces_.empty()) return "{}";
-  std::ostringstream out;
+  std::string out;
   for (std::size_t i = 0; i < pieces_.size(); ++i) {
-    if (i) out << " u ";
-    out << pieces_[i].str(digits);
+    if (i) out += " u ";
+    pieces_[i].appendTo(out, digits);
   }
-  return out.str();
+  return out;
 }
 
 bool IntervalSet::operator==(const IntervalSet& other) const noexcept {

@@ -48,7 +48,7 @@ class IntervalSet {
   /// The piece containing `v`, or the one nearest to it; must not be empty.
   Interval nearestPiece(double v) const;
 
-  /// "[a, b] ∪ [c, d]" rendering.
+  /// "[a, b] u [c, d]" rendering (pieces as Interval::str).
   std::string str(int digits = 6) const;
 
   bool operator==(const IntervalSet& other) const noexcept;

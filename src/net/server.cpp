@@ -452,8 +452,13 @@ void Server::deliver(Subscription& sub) {
     if (!n) return;
     const std::string payload =
         json::serialize(notificationToJson(sub.sessionId, *n));
-    if (!reactor_->send(sub.conn, FrameType::Notification, payload)) return;
+    // Counted before the send: once the frame is written the peer may read
+    // it, and stats() must never lag a push the peer has already received.
     ++pushes_;
+    if (!reactor_->send(sub.conn, FrameType::Notification, payload)) {
+      --pushes_;
+      return;
+    }
   }
 }
 

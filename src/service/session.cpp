@@ -1,28 +1,20 @@
 #include "service/session.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <filesystem>
 #include <system_error>
 
 #include "dddl/parser.hpp"
 #include "dpm/state_io.hpp"
 #include "util/error.hpp"
+#include "util/number.hpp"
 #include "util/strings.hpp"
 
 namespace adpm::service {
 
-namespace {
-
-void appendDouble(std::string& out, double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  out += buf;
-}
-
-}  // namespace
-
 std::string snapshotText(const dpm::DesignProcessManager& dpm) {
+  using util::appendDouble;
+  using util::appendInteger;
   const constraint::Network& net = dpm.network();
   std::string out;
   out.reserve(4096);
@@ -52,53 +44,48 @@ std::string snapshotText(const dpm::DesignProcessManager& dpm) {
   const std::vector<constraint::Status>& statuses = dpm.knownStatuses();
   for (std::uint32_t i = 0; i < statuses.size(); ++i) {
     out += "c ";
-    out += std::to_string(i);
+    appendInteger(out, i);
     out += ' ';
     out += constraint::statusName(statuses[i]);
     if (dpm.isStale(constraint::ConstraintId{i})) out += " stale";
     out += '\n';
   }
+  const auto appendIds = [&out](const std::vector<constraint::ConstraintId>&
+                                    ids) {
+    for (const constraint::ConstraintId c : ids) {
+      out += ' ';
+      appendInteger(out, c.value);
+    }
+  };
   out += "violated";
-  for (const constraint::ConstraintId c : dpm.knownViolations()) {
-    out += ' ';
-    out += std::to_string(c.value);
-  }
+  appendIds(dpm.knownViolations());
   out += '\n';
 
   // λ=T: the full mined guidance.
   if (const constraint::GuidanceReport* g = dpm.latestGuidance()) {
     for (const constraint::PropertyGuidance& pg : g->properties) {
       out += "g ";
-      out += std::to_string(pg.id.value);
+      appendInteger(out, pg.id.value);
       out += " feasible ";
-      out += pg.feasible.str(17);
+      pg.feasible.appendTo(out, util::kRoundTripDigits);
       out += " rel ";
       appendDouble(out, pg.relativeFeasibleSize);
       out += " alpha ";
-      out += std::to_string(pg.alpha);
+      appendInteger(out, pg.alpha);
       out += " beta ";
-      out += std::to_string(pg.beta);
+      appendInteger(out, pg.beta);
       out += " votes ";
-      out += std::to_string(pg.repairVotesUp);
+      appendInteger(out, pg.repairVotesUp);
       out += '/';
-      out += std::to_string(pg.repairVotesDown);
+      appendInteger(out, pg.repairVotesDown);
       out += " inc";
-      for (const constraint::ConstraintId c : pg.increasing) {
-        out += ' ';
-        out += std::to_string(c.value);
-      }
+      appendIds(pg.increasing);
       out += " dec";
-      for (const constraint::ConstraintId c : pg.decreasing) {
-        out += ' ';
-        out += std::to_string(c.value);
-      }
+      appendIds(pg.decreasing);
       out += '\n';
     }
     out += "gviolated";
-    for (const constraint::ConstraintId c : g->violated) {
-      out += ' ';
-      out += std::to_string(c.value);
-    }
+    appendIds(g->violated);
     out += '\n';
   }
   return out;
@@ -117,6 +104,16 @@ Session::Session(SessionConfig config, const dpm::ScenarioSpec& spec,
       log_(std::move(log)) {
   dpm::instantiate(spec, *dpm_);
   dpm_->bootstrap();
+}
+
+Session::Session(SessionConfig config, const dpm::ScenarioSpec& spec,
+                 const dpm::ManagerState& state, Options options)
+    : config_(std::move(config)),
+      options_(options),
+      dpm_(std::make_unique<dpm::DesignProcessManager>(
+          dpm::DesignProcessManager::Options{.adpm = config_.adpm})) {
+  dpm::instantiate(spec, *dpm_);
+  dpm_->restoreState(state);
 }
 
 Session::~Session() {
@@ -336,7 +333,13 @@ std::unique_ptr<Session> recoverSession(const std::string& logPath,
   // replay.  Runner-up checkpoints are still crc-verified so compaction
   // accounting only tracks files recovery could actually use.
   std::unique_ptr<Session> session;
-  std::vector<Checkpoint> keptCheckpoints;  // newest-first here
+  // (seq, walSeq) of every checkpoint that verified; newest-first here.
+  std::vector<std::pair<std::size_t, std::size_t>> keptCheckpoints;
+  // The session's config and scenario; the restored base state is kept for
+  // a rollback rebuild.
+  SessionConfig config;
+  dpm::ScenarioSpec spec;
+  dpm::ManagerState baseState;
   std::string baseDigest;
   std::size_t baseStage = 0;
   std::size_t nextCheckpointSeq = 1;
@@ -355,11 +358,10 @@ std::unique_ptr<Session> recoverSession(const std::string& logPath,
                           "' disagrees with the segment chain's config");
       }
       if (session == nullptr) {
-        const dpm::ManagerState state = dpm::managerStateFromJson(ckpt.state);
-        const dpm::ScenarioSpec spec = dddl::parse(ckpt.config.scenarioDddl);
-        auto candidate = std::make_unique<Session>(ckpt.config, spec, nullptr,
-                                                   options);
-        candidate->manager().restoreState(state);
+        dpm::ManagerState state = dpm::managerStateFromJson(ckpt.state);
+        spec = dddl::parse(ckpt.config.scenarioDddl);
+        std::unique_ptr<Session> candidate(
+            new Session(ckpt.config, spec, state, options));
         const SessionSnapshot snap = candidate->snapshot();
         if (snap.stage != ckpt.stage || snap.digest != ckpt.digest) {
           throw adpm::Error(
@@ -368,13 +370,15 @@ std::unique_ptr<Session> recoverSession(const std::string& logPath,
               " at stage " + std::to_string(snap.stage) + ")");
         }
         session = std::move(candidate);
+        if (chain.empty()) config = std::move(ckpt.config);
+        baseState = std::move(state);
         baseStage = ckpt.stage;
-        baseDigest = ckpt.digest;
+        baseDigest = std::move(ckpt.digest);
         result.checkpointUsed = true;
         result.checkpointSeq = ckpt.seq;
         result.checkpointStage = ckpt.stage;
       }
-      keptCheckpoints.push_back(std::move(ckpt));
+      keptCheckpoints.emplace_back(ckpt.seq, ckpt.walSeq);
     } catch (const adpm::Error& e) {
       if (session == nullptr) ++result.checkpointFallbacks;
       addReason(e.what());
@@ -386,12 +390,7 @@ std::unique_ptr<Session> recoverSession(const std::string& logPath,
   std::reverse(keptCheckpoints.begin(), keptCheckpoints.end());
 
   // -- 3. plan the tail replay ------------------------------------------------
-  SessionConfig config;
-  if (!chain.empty()) {
-    config = chain.front().replay.config;
-  } else if (session != nullptr) {
-    config = keptCheckpoints.back().config;  // the base checkpoint's config
-  }
+  if (!chain.empty()) config = std::move(chain.front().replay.config);
 
   if (session == nullptr) {
     // Full replay: needs the chain to start at stage 0.
@@ -402,7 +401,7 @@ std::unique_ptr<Session> recoverSession(const std::string& logPath,
       for (const std::string& r : reasons) why += "; " + r;
       throw adpm::Error(why);
     }
-    const dpm::ScenarioSpec spec = dddl::parse(config.scenarioDddl);
+    spec = dddl::parse(config.scenarioDddl);
     session = std::make_unique<Session>(config, spec, nullptr, options);
   }
 
@@ -524,19 +523,8 @@ std::unique_ptr<Session> recoverSession(const std::string& logPath,
     // already-verified prefix (which re-verifies by determinism).
     finalStage = lastVerifiedStage;
     if (result.checkpointUsed) {
-      // keptCheckpoints.front() is the oldest; the base is the newest one
-      // that restored cleanly — find it by seq.
-      const Checkpoint* base = nullptr;
-      for (const Checkpoint& c : keptCheckpoints) {
-        if (c.seq == result.checkpointSeq) base = &c;
-      }
-      const dpm::ManagerState state = dpm::managerStateFromJson(base->state);
-      const dpm::ScenarioSpec spec = dddl::parse(base->config.scenarioDddl);
-      session = std::make_unique<Session>(base->config, spec, nullptr,
-                                          options);
-      session->manager().restoreState(state);
+      session.reset(new Session(config, spec, baseState, options));
     } else {
-      const dpm::ScenarioSpec spec = dddl::parse(config.scenarioDddl);
       session = std::make_unique<Session>(config, spec, nullptr, options);
     }
     std::size_t rebuilt = baseStage;
@@ -623,7 +611,7 @@ std::unique_ptr<Session> recoverSession(const std::string& logPath,
     attach.startStage = finalStage;
   }
   session->attachLog(std::make_unique<SegmentedLog>(
-      logPath, config, logOptions, attach));
+      logPath, std::move(config), logOptions, attach));
 
   // Remember the seal so a recover → destroy cycle does not keep appending
   // duplicate marks for the same final stage.

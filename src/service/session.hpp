@@ -32,7 +32,9 @@ struct SessionSnapshot {
   /// Canonical rendering of: per-property bindings and current hull, known
   /// constraint statuses, violation set, and (λ=T) the full GuidanceReport
   /// (feasible subspaces, α/β, monotone lists, repair votes).  All doubles
-  /// are %.17g, so equality here is bit-equality of the underlying state.
+  /// go through util::appendDouble at 17 digits (printf's %.17g), so
+  /// equality here is bit-equality of the underlying state.  The text does
+  /// not cover `evaluations`.
   std::string text;
   /// fnv1a-64 of `text`, as 16 hex digits — what WAL marks store.
   std::string digest;
@@ -169,6 +171,13 @@ class Session {
                                                  Options options,
                                                  RecoveryPolicy policy,
                                                  SalvageOutcome* outcome);
+
+  /// Checkpoint restore: instantiates the scenario and restores `state`
+  /// onto it, with no bootstrap DCM pass — restoreState overwrites every
+  /// field that pass would set.  No log: recovery attaches one once the
+  /// tail replay is done.
+  Session(SessionConfig config, const dpm::ScenarioSpec& spec,
+          const dpm::ManagerState& state, Options options);
 
   dpm::DesignProcessManager::ExecResult applyImpl(dpm::Operation op,
                                                   bool journal);

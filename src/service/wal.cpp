@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <filesystem>
-#include <fstream>
-#include <iterator>
 #include <string_view>
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -39,6 +37,45 @@ void fsyncParentDir(const std::string& path) {
   }
 }
 #endif
+
+/// Reads a whole file with one sized read; nullopt when it cannot be
+/// opened or read.
+std::optional<std::string> readWholeFile(const std::string& path) {
+  std::FILE* in = std::fopen(path.c_str(), "rb");
+  if (in == nullptr) return std::nullopt;
+  std::string content;
+  bool ok = std::fseek(in, 0, SEEK_END) == 0;
+  const long size = ok ? std::ftell(in) : -1;
+  ok = size >= 0 && std::fseek(in, 0, SEEK_SET) == 0;
+  if (ok) {
+    content.resize(static_cast<std::size_t>(size));
+    content.resize(std::fread(content.data(), 1, content.size(), in));
+    ok = std::ferror(in) == 0;
+  }
+  std::fclose(in);
+  if (!ok) return std::nullopt;
+  return content;
+}
+
+/// The writer hashes a record serialized without its crc member, then
+/// splices `,"crc":"<16 hex>"}` in place of the closing brace (see
+/// appendRecord).  So a record verifies when its line ends in that suffix
+/// and the bytes before it, with `}` appended, hash to the hex.  Any other
+/// encoding of the same JSON (whitespace, `1.0` for `1`, the crc moved) is
+/// not what the writer wrote and fails.
+constexpr std::string_view kCrcPrefix = ",\"crc\":\"";
+constexpr std::size_t kCrcSuffixSize = kCrcPrefix.size() + 16 + 2;  // hex"}
+
+bool crcMatchesBytes(std::string_view line) {
+  if (line.size() <= kCrcSuffixSize) return false;
+  const std::string_view body = line.substr(0, line.size() - kCrcSuffixSize);
+  const std::string_view suffix = line.substr(body.size());
+  if (!suffix.starts_with(kCrcPrefix) || !suffix.ends_with("\"}")) {
+    return false;
+  }
+  const std::uint64_t h = util::fnv1a64("}", util::fnv1a64(body));
+  return suffix.substr(kCrcPrefix.size(), 16) == util::hex64(h);
+}
 
 }  // namespace
 
@@ -146,8 +183,8 @@ void OperationLog::appendLine(const std::string& line) {
 
 void OperationLog::appendRecord(const std::string& base) {
   // base is the canonical serialization without the crc member; the crc is
-  // spliced in as the final member so a reader can strip it and re-serialize
-  // the remaining members (insertion order is preserved) to verify.
+  // spliced in as the final member, so a reader verifies the line's own
+  // bytes (crcMatchesBytes) without re-serializing anything.
   std::string line = base.substr(0, base.size() - 1);
   line += ",\"crc\":\"";
   line += util::fnv1a64Hex(base);
@@ -188,12 +225,11 @@ void OperationLog::appendMark(std::size_t stage, const std::string& digest) {
 
 OperationLog::Replay OperationLog::read(const std::string& path,
                                         RecoveryPolicy policy) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
+  const std::optional<std::string> file = readWholeFile(path);
+  if (!file) {
     throw adpm::Error("cannot read operation log '" + path + "'");
   }
-  const std::string content{std::istreambuf_iterator<char>(in),
-                            std::istreambuf_iterator<char>()};
+  const std::string& content = *file;
 
   Replay replay;
   bool sawOpen = false;
@@ -229,17 +265,9 @@ OperationLog::Replay OperationLog::read(const std::string& path,
         if (const util::json::Value* crc = v.find("crc")) {
           if (crc->kind() != util::json::Kind::String) {
             err = "line " + std::to_string(lineNo) + ": malformed crc field";
-          } else {
-            util::json::Object stripped;
-            for (const auto& [key, member] : v.asObject()) {
-              if (key != "crc") stripped.emplace_back(key, member);
-            }
-            const std::string base =
-                util::json::serialize(util::json::Value{std::move(stripped)});
-            if (util::fnv1a64Hex(base) != crc->asString()) {
-              err = "line " + std::to_string(lineNo) +
-                    ": checksum mismatch (record is corrupt)";
-            }
+          } else if (!crcMatchesBytes(line)) {
+            err = "line " + std::to_string(lineNo) +
+                  ": checksum mismatch (record is corrupt)";
           }
         }
       }
@@ -266,10 +294,10 @@ OperationLog::Replay OperationLog::read(const std::string& path,
                             std::to_string(version));
         }
         try {
-          replay.config.id = v.at("session").asString();
+          replay.config.id = v.take("session").asString();
           replay.config.adpm = v.at("adpm").asBool();
-          replay.config.scenarioName = v.at("scenario").asString();
-          replay.config.scenarioDddl = v.at("dddl").asString();
+          replay.config.scenarioName = v.take("scenario").asString();
+          replay.config.scenarioDddl = v.take("dddl").asString();
           if (const util::json::Value* seq = v.find("seq")) {
             replay.segmentSeq = static_cast<std::size_t>(seq->asNumber());
           }
@@ -505,12 +533,11 @@ void writeCheckpoint(const std::string& basePath, const Checkpoint& ckpt,
 }
 
 Checkpoint readCheckpoint(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
+  std::optional<std::string> file = readWholeFile(path);
+  if (!file) {
     throw adpm::Error("cannot read checkpoint '" + path + "'");
   }
-  std::string content{std::istreambuf_iterator<char>(in),
-                      std::istreambuf_iterator<char>()};
+  std::string& content = *file;
   // The trailing newline lands last; a file without one is torn by
   // definition, exactly like a WAL record.
   if (content.empty() || content.back() != '\n') {
@@ -531,13 +558,7 @@ Checkpoint readCheckpoint(const std::string& path) {
   if (crc == nullptr || crc->kind() != util::json::Kind::String) {
     throw adpm::Error("checkpoint '" + path + "' has no crc");
   }
-  util::json::Object stripped;
-  for (const auto& [key, member] : v.asObject()) {
-    if (key != "crc") stripped.emplace_back(key, member);
-  }
-  const std::string base =
-      util::json::serialize(util::json::Value{std::move(stripped)});
-  if (util::fnv1a64Hex(base) != crc->asString()) {
+  if (!crcMatchesBytes(content)) {
     throw adpm::Error("checkpoint '" + path +
                       "': checksum mismatch (file is corrupt)");
   }
@@ -552,15 +573,15 @@ Checkpoint readCheckpoint(const std::string& path) {
                         std::to_string(version));
     }
     Checkpoint ckpt;
-    ckpt.config.id = v.at("session").asString();
+    ckpt.config.id = v.take("session").asString();
     ckpt.config.adpm = v.at("adpm").asBool();
-    ckpt.config.scenarioName = v.at("scenario").asString();
-    ckpt.config.scenarioDddl = v.at("dddl").asString();
+    ckpt.config.scenarioName = v.take("scenario").asString();
+    ckpt.config.scenarioDddl = v.take("dddl").asString();
     ckpt.seq = static_cast<std::size_t>(v.at("seq").asNumber());
     ckpt.stage = static_cast<std::size_t>(v.at("stage").asNumber());
     ckpt.walSeq = static_cast<std::size_t>(v.at("walSeq").asNumber());
-    ckpt.digest = v.at("digest").asString();
-    ckpt.state = v.at("state");
+    ckpt.digest = v.take("digest").asString();
+    ckpt.state = v.take("state");
     return ckpt;
   } catch (const adpm::Error& e) {
     throw adpm::Error("checkpoint '" + path + "' is malformed: " + e.what());
@@ -585,10 +606,8 @@ SegmentedLog::SegmentedLog(std::string basePath, SessionConfig config,
       config_(std::move(config)),
       options_(options),
       seq_(attach.walSeq),
-      nextCheckpointSeq_(attach.nextCheckpointSeq) {
-  for (const Checkpoint& ckpt : attach.checkpoints) {
-    checkpoints_.emplace_back(ckpt.seq, ckpt.walSeq);
-  }
+      nextCheckpointSeq_(attach.nextCheckpointSeq),
+      checkpoints_(attach.checkpoints) {
   if (attach.startFresh) {
     startStage_ = attach.startStage;
     current_ = std::make_unique<OperationLog>(segmentPath(basePath_, seq_),

@@ -15,9 +15,13 @@
 //   {"t":"op","op":{...},"crc":HEX}            (dpm/operation_io.hpp form)
 //   {"t":"mark","stage":N,"digest":HEX,"crc":HEX}
 // `crc` is the fnv1a-64 (16 hex digits) of the record's canonical
-// serialization *without* the crc member — a bit-flip anywhere in the line
-// is detected at read time.  Records without a crc member (logs written
-// before the field existed) are accepted unverified.
+// serialization *without* the crc member, and is always the last member.
+// The reader checks it on the line's own bytes: everything before
+// `,"crc":"<hex>"}`, with `}` appended, must hash to <hex>.  A bit-flip
+// anywhere in the line is detected, and so is any re-encoding of the same
+// JSON (added whitespace, `1.0` for `1`, members reordered).  Records
+// without a crc member (logs written before the field existed) are
+// accepted unverified.
 // `mark` records carry the fnv1a-64 digest of the session's canonical
 // snapshot text at stage N; replay re-derives the digest at each mark and
 // fails loudly on divergence instead of silently resurrecting a corrupt
@@ -55,6 +59,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "dpm/operation.hpp"
@@ -290,8 +295,9 @@ class SegmentedLog {
     std::size_t startStage = 0;
     /// Sequence the next checkpoint gets.
     std::size_t nextCheckpointSeq = 1;
-    /// Surviving checkpoints (ascending seq) for compaction accounting.
-    std::vector<Checkpoint> checkpoints;
+    /// (seq, walSeq) of the surviving checkpoints, ascending seq, for
+    /// compaction accounting.
+    std::vector<std::pair<std::size_t, std::size_t>> checkpoints;
   };
   SegmentedLog(std::string basePath, SessionConfig config, Options options,
                const AttachSpec& attach);

@@ -2,6 +2,8 @@
 
 #include <sstream>
 
+#include "util/table.hpp"
+
 namespace adpm::teamsim {
 
 namespace {
@@ -48,12 +50,7 @@ std::string toGraphviz(const dpm::DesignProcessManager& dpm) {
     for (const constraint::PropertyId pid : obj->properties) {
       const constraint::Property& p = net.property(pid);
       out << "    p" << pid.value << " [label=\"" << escape(p.name);
-      if (p.bound()) {
-        std::ostringstream v;
-        v.precision(4);
-        v << *p.value;
-        out << "\\n= " << v.str();
-      }
+      if (p.bound()) out << "\\n= " << util::formatNumber(*p.value, 4);
       out << "\", shape=ellipse";
       if (p.bound()) out << ", style=filled, fillcolor=lightyellow";
       out << "];\n";

@@ -1,11 +1,11 @@
 #include "util/json.hpp"
 
-#include <cctype>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
+#include <optional>
 
 #include "util/error.hpp"
+#include "util/number.hpp"
 
 namespace adpm::util::json {
 
@@ -29,9 +29,14 @@ double Value::asNumber() const {
   return number_;
 }
 
-const std::string& Value::asString() const {
+const std::string& Value::asString() const& {
   if (kind_ != Kind::String) kindError("string", kind_);
   return string_;
+}
+
+std::string Value::asString() && {
+  if (kind_ != Kind::String) kindError("string", kind_);
+  return std::move(string_);
 }
 
 const Array& Value::asArray() const {
@@ -59,6 +64,16 @@ const Value& Value::at(std::string_view key) const {
                                      std::string(key) + "'");
   }
   return *v;
+}
+
+Value Value::take(std::string_view key) {
+  if (kind_ == Kind::Object) {
+    for (auto& [k, v] : object_) {
+      if (k == key) return std::exchange(v, Value());
+    }
+  }
+  throw adpm::InvalidArgumentError("json: missing field '" + std::string(key) +
+                                   "'");
 }
 
 Value& Value::set(std::string key, Value v) {
@@ -190,13 +205,12 @@ class Parser {
     expect('"');
     std::string out;
     for (;;) {
-      if (pos_ >= text_.size()) fail("unterminated string");
-      const char c = text_[pos_++];
-      if (c == '"') return out;
-      if (c != '\\') {
-        out.push_back(c);
-        continue;
-      }
+      // Copy the run up to the next quote or escape in one append.
+      const std::size_t stop = text_.find_first_of("\"\\", pos_);
+      if (stop == std::string_view::npos) fail("unterminated string");
+      out.append(text_.data() + pos_, stop - pos_);
+      pos_ = stop + 1;
+      if (text_[stop] == '"') return out;
       if (pos_ >= text_.size()) fail("unterminated escape");
       const char e = text_[pos_++];
       switch (e) {
@@ -232,35 +246,58 @@ class Parser {
 
   Value number() {
     const std::size_t start = pos_;
-    if (consume('-')) {}
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '+' || text_[pos_] == '-')) {
+    while (pos_ < text_.size()) {
+      const char c = text_[pos_];
+      if ((c < '0' || c > '9') && c != '.' && c != 'e' && c != 'E' &&
+          c != '+' && c != '-') {
+        break;
+      }
       ++pos_;
     }
     if (pos_ == start) fail("expected value");
-    const std::string token(text_.substr(start, pos_ - start));
-    char* end = nullptr;
-    const double v = std::strtod(token.c_str(), &end);
-    if (end != token.c_str() + token.size() || !std::isfinite(v)) {
-      fail("bad number '" + token + "'");
+    const std::string_view token = text_.substr(start, pos_ - start);
+    const std::optional<double> v = util::parseDouble(token);
+    if (!v || !std::isfinite(*v)) {
+      fail("bad number '" + std::string(token) + "'");
     }
-    return Value(v);
+    return Value(*v);
   }
 
   std::string_view text_;
   std::size_t pos_ = 0;
 };
 
+void escapeTo(std::string& out, std::string_view s) {
+  for (const char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\b': out += "\\b"; break;
+      case '\f': out += "\\f"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof buf, "\\u%04x",
+                        static_cast<unsigned>(static_cast<unsigned char>(c)));
+          out += buf;
+        } else {
+          out.push_back(c);
+        }
+    }
+  }
+}
+
 void serializeTo(const Value& v, std::string& out) {
   switch (v.kind()) {
     case Kind::Null: out += "null"; break;
     case Kind::Bool: out += v.asBool() ? "true" : "false"; break;
-    case Kind::Number: out += formatNumber(v.asNumber()); break;
+    case Kind::Number: formatNumber(out, v.asNumber()); break;
     case Kind::String:
       out.push_back('"');
-      out += escape(v.asString());
+      escapeTo(out, v.asString());
       out.push_back('"');
       break;
     case Kind::Array: {
@@ -281,7 +318,7 @@ void serializeTo(const Value& v, std::string& out) {
         if (!first) out.push_back(',');
         first = false;
         out.push_back('"');
-        out += escape(key);
+        escapeTo(out, key);
         out += "\":";
         serializeTo(field, out);
       }
@@ -304,36 +341,15 @@ std::string serialize(const Value& v) {
 std::string escape(std::string_view s) {
   std::string out;
   out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\b': out += "\\b"; break;
-      case '\f': out += "\\f"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
+  escapeTo(out, s);
   return out;
 }
 
-std::string formatNumber(double v) {
+void formatNumber(std::string& out, double v) {
   if (!std::isfinite(v)) {
     throw adpm::InvalidArgumentError("json: non-finite number");
   }
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
+  util::appendDouble(out, v);
 }
 
 }  // namespace adpm::util::json

@@ -4,7 +4,8 @@
 // and its records must round-trip *bit-identically* so that replaying a log
 // reproduces the live run exactly.  Hence the serializer is canonical: no
 // insignificant whitespace, object keys kept in insertion order, and numbers
-// printed with %.17g (enough digits to round-trip any IEEE-754 double).
+// written and read by the shared double codec (util/number.hpp: 17
+// significant digits, which round-trip any IEEE-754 double).
 // Only the JSON subset those records need is supported: null, bool, finite
 // numbers, strings, arrays, objects.
 #pragma once
@@ -42,10 +43,12 @@ class Value {
   Kind kind() const noexcept { return kind_; }
   bool isNull() const noexcept { return kind_ == Kind::Null; }
 
-  /// Typed accessors; throw InvalidArgumentError on kind mismatch.
+  /// Typed accessors; throw InvalidArgumentError on kind mismatch.  On an
+  /// rvalue, asString() moves the string out.
   bool asBool() const;
   double asNumber() const;
-  const std::string& asString() const;
+  const std::string& asString() const&;
+  std::string asString() &&;
   const Array& asArray() const;
   const Object& asObject() const;
 
@@ -53,6 +56,9 @@ class Value {
   const Value* find(std::string_view key) const noexcept;
   /// Object field lookup; throws InvalidArgumentError when absent.
   const Value& at(std::string_view key) const;
+  /// Moves a field's value out of an object (leaving null behind); throws
+  /// InvalidArgumentError when absent.
+  Value take(std::string_view key);
 
   /// Appends a field to an object value (the builder-side API).
   Value& set(std::string key, Value v);
@@ -78,7 +84,9 @@ std::string serialize(const Value& v);
 /// Escapes a string for embedding in JSON (quotes not included).
 std::string escape(std::string_view s);
 
-/// %.17g rendering used for all numbers (round-trips IEEE-754 doubles).
-std::string formatNumber(double v);
+/// Appends the canonical rendering of a finite number (util::appendDouble
+/// at 17 digits, which round-trips IEEE-754 doubles); throws
+/// InvalidArgumentError for ±inf and NaN.
+void formatNumber(std::string& out, double v);
 
 }  // namespace adpm::util::json

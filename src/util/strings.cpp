@@ -44,8 +44,7 @@ std::string toLower(std::string_view s) {
   return out;
 }
 
-std::uint64_t fnv1a64(std::string_view s) noexcept {
-  std::uint64_t h = 0xcbf29ce484222325ull;
+std::uint64_t fnv1a64(std::string_view s, std::uint64_t h) noexcept {
   for (const char c : s) {
     h ^= static_cast<unsigned char>(c);
     h *= 0x100000001b3ull;
@@ -53,11 +52,12 @@ std::uint64_t fnv1a64(std::string_view s) noexcept {
   return h;
 }
 
-std::string fnv1a64Hex(std::string_view s) {
+std::string hex64(std::uint64_t h) {
   char buf[17];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(fnv1a64(s)));
+  std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(h));
   return buf;
 }
+
+std::string fnv1a64Hex(std::string_view s) { return hex64(fnv1a64(s)); }
 
 }  // namespace adpm::util

@@ -7,6 +7,8 @@
 #include <ostream>
 #include <sstream>
 
+#include "util/number.hpp"
+
 namespace adpm::util {
 
 namespace {
@@ -89,11 +91,7 @@ std::string TextTable::render() const {
 
 std::string formatNumber(double value, int digits) {
   if (std::isnan(value)) return "nan";
-  if (std::isinf(value)) return value > 0 ? "inf" : "-inf";
-  std::ostringstream out;
-  out.precision(digits);
-  out << value;
-  return out.str();
+  return formatDouble(value, digits);
 }
 
 std::string formatExact(double value) {

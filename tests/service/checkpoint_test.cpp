@@ -16,9 +16,11 @@
 #include <string>
 #include <vector>
 
+#include "dddl/parser.hpp"
 #include "dddl/writer.hpp"
 #include "dpm/manager.hpp"
 #include "dpm/state_io.hpp"
+#include "gen/registry.hpp"
 #include "scenarios/sensing.hpp"
 #include "service/session.hpp"
 #include "service/store.hpp"
@@ -172,6 +174,73 @@ TEST_F(CheckpointTest, CheckpointedRecoveryReplaysOnlyTheTail) {
     EXPECT_EQ(recovered->stage(), 30u);
     EXPECT_EQ(recovered->snapshot().text, liveText)
         << "λ=" << (adpm ? "T" : "F");
+  }
+}
+
+// The snapshot text, and so every digest recovery checks, leaves out the
+// tool-run counter and the previous guidance report.  A recovered session
+// must still carry the live session's values — the counter feeds every later
+// evaluation figure and the NM diffs the next report against the previous
+// one — and the next operations must charge what the live session charges.
+TEST_F(CheckpointTest, RecoveryRestoresTheToolRunCounterAndBothGuidances) {
+  const dpm::ScenarioSpec zooSmall = gen::scenarioByName("zoo-small");
+  const auto guidanceOf = [](const Session& s) {
+    const util::json::Value state =
+        dpm::managerStateToJson(s.manager().exportState());
+    return std::make_pair(state.at("guidance"), state.at("prevGuidance"));
+  };
+  for (const dpm::ScenarioSpec* scenario :
+       {static_cast<const dpm::ScenarioSpec*>(&spec_), &zooSmall}) {
+    for (const bool adpm : {true, false}) {
+      for (const bool checkpointed : {true, false}) {
+        const std::string id = std::string(adpm ? "t" : "f") +
+                               (checkpointed ? "-ckpt-" : "-full-") +
+                               std::to_string(scenario->properties.size());
+        SCOPED_TRACE(id);
+        SessionConfig cfg;
+        cfg.id = id;
+        cfg.adpm = adpm;
+        cfg.scenarioName = scenario->name;
+        cfg.scenarioDddl = dddl::write(*scenario);
+        const dpm::ScenarioSpec parsed = dddl::parse(cfg.scenarioDddl);
+        Session::Options opts = checkpointedOptions();
+        if (!checkpointed) opts.checkpointEvery = 0;
+
+        // The reference runs beside the journaled session and outlives it.
+        Session reference(cfg, parsed, nullptr);
+        const std::size_t props = parsed.properties.size();
+        {
+          SegmentedLog::Options lo;
+          lo.segmentOps = opts.segmentOps;
+          Session journaled(
+              cfg, parsed,
+              std::make_unique<SegmentedLog>(basePath(id.c_str()), cfg, lo),
+              opts);
+          for (std::size_t i = 0; i < 30; ++i) {
+            journaled.apply(synthOp(i, props));
+            reference.replayApply(synthOp(i, props));
+          }
+        }
+
+        SalvageOutcome out;
+        std::unique_ptr<Session> recovered = recoverSession(
+            basePath(id.c_str()), opts, RecoveryPolicy::Strict, &out);
+        EXPECT_EQ(out.checkpointUsed, checkpointed);
+        EXPECT_EQ(out.operationsReplayed, checkpointed ? 6u : 30u);
+        for (std::size_t i = 30; i <= 33; ++i) {
+          const SessionSnapshot got = recovered->snapshot();
+          const SessionSnapshot want = reference.snapshot();
+          EXPECT_EQ(got.stage, i);
+          EXPECT_EQ(got.evaluations, want.evaluations) << "stage " << i;
+          EXPECT_EQ(got.text, want.text) << "stage " << i;
+          EXPECT_EQ(guidanceOf(*recovered), guidanceOf(reference))
+              << "stage " << i;
+          if (i == 33) break;
+          recovered->apply(synthOp(i, props));
+          reference.replayApply(synthOp(i, props));
+        }
+      }
+    }
   }
 }
 
@@ -599,6 +668,83 @@ TEST_F(SessionStoreRecovery, CallerRecoversWhileTheOnlyWorkerIsParked) {
   EXPECT_EQ(recovering.get(), (std::vector<std::string>{"s00", "s01", "s02"}));
   EXPECT_TRUE(store.recoverErrors().empty());
   store.drain();  // the strand must outlive its task
+}
+
+// -- the crc covers the bytes the writer wrote -------------------------------
+
+/// Three re-encodings of a crc-carrying record that keep its JSON meaning:
+/// a space after the first ':', `number` rewritten as `asFloat` (1 as 1.0),
+/// and the crc member moved before the last member.
+std::vector<std::string> sameJsonOtherBytes(const std::string& line,
+                                            const std::string& number,
+                                            const std::string& asFloat) {
+  std::vector<std::string> out;
+  std::string spaced = line;
+  spaced.insert(spaced.find("\":") + 2, " ");
+  out.push_back(spaced);
+
+  std::string floated = line;
+  const std::size_t at = floated.find(number);
+  EXPECT_NE(at, std::string::npos) << number;
+  floated.replace(at, number.size(), asFloat);
+  out.push_back(floated);
+
+  util::json::Object members = util::json::parse(line).asObject();
+  EXPECT_EQ(members.back().first, "crc");
+  std::pair<std::string, util::json::Value> crc = members.back();
+  members.pop_back();
+  members.insert(members.end() - 1, std::move(crc));
+  out.push_back(util::json::serialize(util::json::Value{std::move(members)}));
+
+  EXPECT_EQ(util::json::parse(out[0]), util::json::parse(line));
+  EXPECT_EQ(util::json::parse(out[1]), util::json::parse(line));
+  return out;
+}
+
+TEST_F(CheckpointTest, ReencodedCheckpointIsRefusedLikeABitFlip) {
+  const char* id = "reencoded";
+  const Session::Options opts = checkpointedOptions();
+  const std::string liveText = runJournaled(id, /*adpm=*/true, 30, opts);
+  const std::string newest = checkpointPath(basePath(id), 3);
+  const std::string pristine = readFile(newest);
+  const std::string line = pristine.substr(0, pristine.size() - 1);
+
+  std::string flipped = line;
+  flipped[line.size() / 2] = static_cast<char>(flipped[line.size() / 2] ^ 0x10);
+  std::vector<std::string> variants = {flipped};
+  for (std::string& v : sameJsonOtherBytes(line, "\"v\":1,", "\"v\":1.0,")) {
+    variants.push_back(std::move(v));
+  }
+  for (std::size_t k = 0; k < variants.size(); ++k) {
+    const std::string& variant = variants[k];
+    SCOPED_TRACE(variant.substr(0, 40));
+    for (const RecoveryPolicy policy :
+         {RecoveryPolicy::Strict, RecoveryPolicy::Salvage}) {
+      writeFile(newest, variant + "\n");
+      EXPECT_THROW(readCheckpoint(newest), adpm::Error);
+      SalvageOutcome out;
+      std::unique_ptr<Session> recovered =
+          recoverSession(basePath(id), opts, policy, &out);
+      EXPECT_EQ(out.checkpointSeq, 2u);
+      EXPECT_EQ(out.checkpointFallbacks, 1u);
+      EXPECT_EQ(out.operationsReplayed, 14u);
+      if (k > 0) {  // a flip may also break the JSON; these all parse
+        EXPECT_NE(out.reason.find("checksum mismatch"), std::string::npos)
+            << out.reason;
+      }
+      EXPECT_EQ(recovered->snapshot().text, liveText);
+      EXPECT_EQ(fs::exists(newest), policy == RecoveryPolicy::Strict);
+    }
+  }
+
+  // The checkpoint as its writer wrote it still restores.
+  writeFile(newest, pristine);
+  SalvageOutcome out;
+  std::unique_ptr<Session> recovered =
+      recoverSession(basePath(id), opts, RecoveryPolicy::Strict, &out);
+  EXPECT_EQ(out.checkpointSeq, 3u);
+  EXPECT_EQ(out.checkpointFallbacks, 0u);
+  EXPECT_EQ(recovered->snapshot().text, liveText);
 }
 
 }  // namespace

@@ -5,8 +5,11 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "util/error.hpp"
+#include "util/json.hpp"
 
 namespace adpm::service {
 namespace {
@@ -211,6 +214,77 @@ TEST_F(WalTest, BitFlipIsDetectedStrictThrowsSalvageTrims) {
   EXPECT_EQ(replay.operations[0].designer, "ana");
   EXPECT_NE(replay.tailError.find("checksum mismatch"), std::string::npos);
   EXPECT_EQ(replay.goodEndOffset + replay.droppedBytes, content.size());
+}
+
+// The crc covers the bytes the writer wrote, not the JSON they mean: a
+// record re-encoded with the same meaning (a space after ':', 1 written as
+// 1.0, the crc moved before the last member) is refused exactly like a bit
+// flip in the same record.
+TEST_F(WalTest, ReencodedRecordIsRefusedLikeABitFlip) {
+  const std::string p = path("reencoded.wal");
+  {
+    OperationLog log(p);
+    log.appendOpen(config());
+    log.appendOperation(op("ana", 1.5));
+    log.appendOperation(op("ben", 1.0));
+    log.appendMark(2, "00000000deadbeef");
+  }
+  std::string content;
+  {
+    std::ifstream in(p, std::ios::binary);
+    content.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  const std::size_t start = content.find("{\"t\":\"op\"", content.find("ana"));
+  const std::size_t end = content.find('\n', start);
+  const std::string line = content.substr(start, end - start);
+  ASSERT_NE(line.find("ben"), std::string::npos);
+  const auto withRecord = [&](const std::string& record) {
+    std::ofstream out(p, std::ios::binary | std::ios::trunc);
+    out << content.substr(0, start) << record << content.substr(end);
+  };
+
+  std::string flipped = line;
+  flipped[line.find("ben")] = 'B';
+  withRecord(flipped);
+  const OperationLog::Replay reference =
+      OperationLog::read(p, RecoveryPolicy::Salvage);
+  ASSERT_TRUE(reference.truncatedTail);
+  ASSERT_EQ(reference.operations.size(), 1u);
+
+  util::json::Object reordered = util::json::parse(line).asObject();
+  ASSERT_EQ(reordered.back().first, "crc");
+  std::swap(reordered[reordered.size() - 1], reordered[reordered.size() - 2]);
+  std::string spaced = line;
+  spaced.insert(spaced.find("\":") + 2, " ");
+  std::string floated = line;
+  floated.replace(floated.find(",1]]"), 4, ",1.0]]");
+  const std::vector<std::string> variants = {
+      spaced, floated,
+      util::json::serialize(util::json::Value{std::move(reordered)})};
+  EXPECT_EQ(util::json::parse(spaced), util::json::parse(line));
+  EXPECT_EQ(util::json::parse(floated), util::json::parse(line));
+
+  for (const std::string& variant : variants) {
+    SCOPED_TRACE(variant);
+    withRecord(variant);
+    EXPECT_THROW(OperationLog::read(p, RecoveryPolicy::Strict), adpm::Error);
+    const OperationLog::Replay replay =
+        OperationLog::read(p, RecoveryPolicy::Salvage);
+    EXPECT_TRUE(replay.truncatedTail);
+    ASSERT_EQ(replay.operations.size(), 1u);
+    EXPECT_EQ(replay.operations[0].designer, "ana");
+    EXPECT_TRUE(replay.marks.empty());
+    EXPECT_EQ(replay.goodEndOffset, reference.goodEndOffset);
+    EXPECT_NE(replay.tailError.find("checksum mismatch"), std::string::npos)
+        << replay.tailError;
+  }
+
+  // The record as its writer wrote it still verifies.
+  withRecord(line);
+  const OperationLog::Replay intact = OperationLog::read(p);
+  EXPECT_FALSE(intact.truncatedTail);
+  EXPECT_EQ(intact.operations.size(), 2u);
+  EXPECT_EQ(intact.marks.size(), 1u);
 }
 
 TEST_F(WalTest, TornTailWithoutNewlineStrictThrowsSalvageTrims) {

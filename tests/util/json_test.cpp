@@ -77,7 +77,8 @@ TEST(Json, DoublesRoundTripBitIdentically) {
                            std::numeric_limits<double>::denorm_min(),
                            std::numeric_limits<double>::max()};
   for (const double v : values) {
-    const std::string text = formatNumber(v);
+    std::string text;
+    formatNumber(text, v);
     const double back = parse(text).asNumber();
     EXPECT_EQ(back, v) << text;  // exact, not approximate
   }
